@@ -30,26 +30,25 @@ test:
 race:
 	$(GO) test -race ./internal/allreduce/... ./internal/bench/... ./internal/train/... ./internal/obs/... ./internal/driftwatch/... ./internal/lint/... ./internal/dagrun/...
 
-# obs-smoke: run real experiments with the observability flags and
-# validate the artefacts with cmd/obscheck — catches exposition/trace/
-# drift formatting regressions that unit tests on the exporters alone
-# would miss. Three stages: (1) the telemetry fixture run, (2) a live
-# ops-server scrape under the race detector (concurrent /metrics and
-# /drift requests against a running chaos experiment), (3) a slowdown
-# chaos run whose drift artefact must report the detection, and a clean
-# run whose artefact must not.
+# obs-smoke: run real experiments into run directories and validate
+# them with cmd/obscheck — catches exposition/trace/drift formatting
+# regressions that unit tests on the exporters alone would miss. Three
+# stages: (1) the telemetry fixture run, (2) a live ops-server scrape
+# under the race detector (concurrent /metrics and /drift requests
+# against a running chaos experiment), (3) a slowdown chaos run whose
+# drift artefact must report the detection, and a clean run whose
+# artefact must not.
 obs-smoke:
 	rm -rf .obs-smoke && mkdir -p .obs-smoke
-	$(GO) run ./cmd/experiments -run exttrainreal -quick \
-		-metrics-out .obs-smoke/metrics.prom -trace-out .obs-smoke/trace.json > .obs-smoke/report.txt
-	$(GO) run ./cmd/obscheck -metrics .obs-smoke/metrics.prom -trace .obs-smoke/trace.json
+	$(GO) run ./cmd/experiments -run exttrainreal -quick -run-dir .obs-smoke/telemetry > /dev/null
+	$(GO) run ./cmd/obscheck .obs-smoke/telemetry
 	$(GO) test -race -count=1 -run 'TestRunWithOpsServer' ./cmd/experiments
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile slowdown \
-		-drift-out .obs-smoke/drift-slow.json > .obs-smoke/report-slow.txt
-	$(GO) run ./cmd/obscheck -drift .obs-smoke/drift-slow.json -require-drift
+		-run-dir .obs-smoke/slow > /dev/null
+	$(GO) run ./cmd/obscheck -require-drift .obs-smoke/slow
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile none \
-		-drift-out .obs-smoke/drift-clean.json > .obs-smoke/report-clean.txt
-	$(GO) run ./cmd/obscheck -drift .obs-smoke/drift-clean.json -forbid-drift
+		-run-dir .obs-smoke/clean > /dev/null
+	$(GO) run ./cmd/obscheck -forbid-drift .obs-smoke/clean
 	rm -rf .obs-smoke
 
 # obs-bench: exporter and hot-path benchmarks; the Disabled* benchmarks
@@ -57,20 +56,27 @@ obs-smoke:
 obs-bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/obs
 
+# The committed baseline trajectory: BENCH_LAST is the newest
+# BENCH_<n>.json (highest n), BENCH_NEXT the one bench-snapshot lands.
+BENCH_N    := $(shell ls BENCH_*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | tail -1)
+BENCH_LAST := BENCH_$(BENCH_N).json
+BENCH_NEXT := BENCH_$(shell expr $(or $(BENCH_N),0) + 1).json
+
 # bench-snapshot: advance the perf baseline — run the benchmark suites,
 # write the next snapshot in the committed BENCH_<n>.json trajectory
 # and validate it with obscheck. The same run is also checked against
-# the previous baseline, so a regressed build cannot silently become
+# the newest baseline, so a regressed build cannot silently become
 # the new normal: fix the regression first, then re-snapshot.
 bench-snapshot:
-	$(GO) run ./cmd/benchsnap -out BENCH_2.json -check BENCH_1.json
-	$(GO) run ./cmd/obscheck -bench BENCH_2.json
+	$(GO) run ./cmd/benchsnap -out $(BENCH_NEXT) -check $(BENCH_LAST)
+	$(GO) run ./cmd/obscheck -bench $(BENCH_NEXT)
 
 # bench-check: re-run the suites and fail on a >15% ns/op regression
-# against the committed baseline, or on any 0-allocs/op benchmark that
-# started allocating (the dynamic half of the hotpath contract).
+# against the newest committed baseline, or on any 0-allocs/op
+# benchmark that started allocating (the dynamic half of the hotpath
+# contract).
 bench-check:
-	$(GO) run ./cmd/benchsnap -check BENCH_2.json
+	$(GO) run ./cmd/benchsnap -check $(BENCH_LAST)
 
 # critpath-smoke: the distributed-tracing acceptance path. First the
 # blame chaos suite under the race detector (seeded straggler must be
@@ -84,35 +90,31 @@ critpath-smoke:
 	$(GO) test -race -count=1 -run 'TestCritpath' ./internal/train
 	rm -rf .critpath-smoke && mkdir -p .critpath-smoke
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile slowdown \
-		-critpath-out .critpath-smoke/critpath-slow.json -trace-out .critpath-smoke/trace-slow.json \
-		> .critpath-smoke/report-slow.txt
-	$(GO) run ./cmd/obscheck -critpath .critpath-smoke/critpath-slow.json -require-blame 0
-	$(GO) run ./cmd/obscheck -trace .critpath-smoke/trace-slow.json
+		-run-dir .critpath-smoke/slow > /dev/null
+	$(GO) run ./cmd/obscheck -require-blame 0 .critpath-smoke/slow
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile none \
-		-critpath-out .critpath-smoke/critpath-clean.json > .critpath-smoke/report-clean.txt
-	$(GO) run ./cmd/obscheck -critpath .critpath-smoke/critpath-clean.json -forbid-blame
+		-run-dir .critpath-smoke/clean > /dev/null
+	$(GO) run ./cmd/obscheck -forbid-blame .critpath-smoke/clean
 	rm -rf .critpath-smoke
 
 # alerts-smoke: the SLO-alerting acceptance path. First the live e2e
 # matrix under the race detector (slowdown chaos run must fire the
 # critical drift-burn-rate rule, gate /readyz to 503 and report the
 # incident on /alerts and /api/query; the clean run must stay silent),
-# then end-to-end through the real binary: the slowdown run's exported
-# alert report must pass obscheck -alerts with drift-burn-rate required
-# to have fired, and the clean run's report with it forbidden. The
-# compressed -alerts-scale turns the 5m/1h SLO windows into a smoke-
-# sized timebase; -sample-interval matches the run's few-second span.
+# then end-to-end through the real binary: the slowdown run's alert
+# report must pass obscheck with drift-burn-rate required to have
+# fired, and the clean run's report with it forbidden. The compressed
+# -alerts-scale turns the 5m/1h SLO windows into a smoke-sized
+# timebase; -sample-interval matches the run's few-second span.
 alerts-smoke:
 	$(GO) test -race -count=1 -run 'TestRunAlerts' ./cmd/experiments
 	rm -rf .alerts-smoke && mkdir -p .alerts-smoke
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile slowdown \
-		-alerts-out .alerts-smoke/alerts-slow.json -alerts-scale 0.005 -sample-interval 25ms \
-		> .alerts-smoke/report-slow.txt
-	$(GO) run ./cmd/obscheck -alerts .alerts-smoke/alerts-slow.json -require-firing drift-burn-rate
+		-run-dir .alerts-smoke/slow -alerts-scale 0.005 -sample-interval 25ms > /dev/null
+	$(GO) run ./cmd/obscheck -require-firing drift-burn-rate .alerts-smoke/slow
 	$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed 7 -faults-profile none \
-		-alerts-out .alerts-smoke/alerts-clean.json -alerts-scale 0.005 -sample-interval 25ms \
-		> .alerts-smoke/report-clean.txt
-	$(GO) run ./cmd/obscheck -alerts .alerts-smoke/alerts-clean.json -forbid-firing drift-burn-rate
+		-run-dir .alerts-smoke/clean -alerts-scale 0.005 -sample-interval 25ms > /dev/null
+	$(GO) run ./cmd/obscheck -forbid-firing drift-burn-rate .alerts-smoke/clean
 	rm -rf .alerts-smoke
 
 # Short fuzz smoke of every fuzz target; seed corpora live under the
@@ -129,12 +131,12 @@ fuzz:
 # obscheck -require-faults, which fails if no fault was injected.
 CHAOS_SEEDS ?= 1 7 42
 chaos:
-	$(GO) test -race ./internal/faults/... ./internal/checkpoint/... ./internal/allreduce/... ./internal/train/... ./internal/experiments/...
+	$(GO) test -race ./internal/faults/... ./internal/allreduce/... ./internal/train/... ./internal/experiments/...
 	rm -rf .chaos-smoke && mkdir -p .chaos-smoke
 	for seed in $(CHAOS_SEEDS); do \
 		$(GO) run ./cmd/experiments -run exttrainfaults -quick -faults-seed $$seed \
-			-metrics-out .chaos-smoke/metrics-$$seed.prom > .chaos-smoke/report-$$seed.txt || exit 1; \
-		$(GO) run ./cmd/obscheck -metrics .chaos-smoke/metrics-$$seed.prom -require-faults || exit 1; \
+			-run-dir .chaos-smoke/$$seed > /dev/null || exit 1; \
+		$(GO) run ./cmd/obscheck -require-faults .chaos-smoke/$$seed || exit 1; \
 	done
 	rm -rf .chaos-smoke
 
@@ -143,23 +145,22 @@ chaos:
 # point, clean seed and chaos profile, resumed stats bit-identical),
 # then end-to-end through the real binary: an uninterrupted chaos run,
 # a -dag-crash run that must die with exit code 3 after committing its
-# upstream manifests, a resume over the same -dag-dir whose report must
-# be byte-identical to the uninterrupted run's, and obscheck -manifest
-# validating the surviving manifest chain.
+# upstream manifests, a resume over the same -run-dir whose report must
+# be byte-identical to the uninterrupted run's, and obscheck validating
+# the resumed run directory, manifest chain included.
 dag-smoke:
 	$(GO) test -race -count=1 -run 'TestCrashResumeMatrix|TestDagResumeMatrix|TestRunDagCrashResume' ./internal/dagrun ./internal/experiments ./cmd/experiments
 	rm -rf .dag-smoke && mkdir -p .dag-smoke
 	$(GO) build -o .dag-smoke/experiments ./cmd/experiments
 	.dag-smoke/experiments -run exttrainfaults -quick -seed 5 -faults-seed 11 \
-		-dag-dir .dag-smoke/clean > .dag-smoke/report-clean.txt
+		-run-dir .dag-smoke/clean > /dev/null
 	.dag-smoke/experiments -run exttrainfaults -quick -seed 5 -faults-seed 11 \
-		-dag-dir .dag-smoke/run -dag-crash report@boundary \
-		-dag-out .dag-smoke/crashed.json > /dev/null 2> .dag-smoke/crashed.txt; \
+		-run-dir .dag-smoke/run -dag-crash report@boundary > /dev/null 2> .dag-smoke/crashed.txt; \
 		test $$? -eq 3 || { echo "dag-smoke: crash run must exit 3"; exit 1; }
 	.dag-smoke/experiments -run exttrainfaults -quick -seed 5 -faults-seed 11 \
-		-dag-dir .dag-smoke/run -dag-out .dag-smoke/resumed.json > .dag-smoke/report-resumed.txt
-	cmp .dag-smoke/report-clean.txt .dag-smoke/report-resumed.txt
-	$(GO) run ./cmd/obscheck -manifest .dag-smoke/run
+		-run-dir .dag-smoke/run > /dev/null
+	cmp .dag-smoke/clean/report.txt .dag-smoke/run/report.txt
+	$(GO) run ./cmd/obscheck .dag-smoke/run
 	rm -rf .dag-smoke
 
 ci: build vet lint test race obs-smoke chaos critpath-smoke dag-smoke alerts-smoke bench-check

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// alertsDoc mirrors the /alerts and -alerts-out JSON layout.
+// alertsDoc mirrors the /alerts and alerts.json layout.
 type alertsDoc struct {
 	Schema string `json:"schema"`
 	Alerts []struct {
@@ -46,7 +46,7 @@ func (d *alertsDoc) everFired(rule string) bool {
 	return false
 }
 
-// waitForAddr polls for the -ops-addr-out file the run writes once its
+// waitForAddr polls for the ops-addr file the run writes once its
 // listener is up.
 func waitForAddr(t *testing.T, path string) string {
 	t.Helper()
@@ -66,19 +66,17 @@ func waitForAddr(t *testing.T, path string) string {
 // with a slowdown profile, a compressed SLO timebase and a fast sample
 // cadence must burn the drift error budget, fire the critical
 // drift-burn-rate rule, flip /readyz to 503 while it fires, report the
-// incident on /alerts and /api/query, and export an -alerts-out report
+// incident on /alerts and /api/query, and export an alerts.json report
 // that records the fire.
 func TestRunAlertsSlowdown(t *testing.T) {
 	dir := t.TempDir()
-	addrPath := filepath.Join(dir, "ops.addr")
+	addrPath := filepath.Join(dir, "ops-addr")
 	alertsPath := filepath.Join(dir, "alerts.json")
 	opts := options{
 		id: "exttrainfaults", seed: 1, quick: true,
 		faultsSeed: 7, faultsProfile: "slowdown",
-		outPath:        filepath.Join(dir, "report.txt"),
+		runDir:         dir,
 		opsAddr:        "127.0.0.1:0",
-		opsAddrOut:     addrPath,
-		alertsOut:      alertsPath,
 		alertsScale:    0.005,
 		sampleInterval: 25 * time.Millisecond,
 	}
@@ -161,8 +159,7 @@ func TestRunAlertsCleanRun(t *testing.T) {
 	opts := options{
 		id: "exttrainfaults", seed: 1, quick: true,
 		faultsSeed: 7, faultsProfile: "none",
-		outPath:        filepath.Join(dir, "report.txt"),
-		alertsOut:      alertsPath,
+		runDir:         dir,
 		alertsScale:    0.005,
 		sampleInterval: 25 * time.Millisecond,
 	}
@@ -188,7 +185,7 @@ func TestRunAlertsCleanRun(t *testing.T) {
 }
 
 // checkAlertsReport re-validates the artefact with the same invariants
-// cmd/obscheck -alerts enforces: legal lifecycle edges in monotone
+// cmd/obscheck enforces on alerts.json: legal lifecycle edges in monotone
 // order, no resolve before a fire.
 func checkAlertsReport(data []byte) error {
 	var doc struct {

@@ -10,11 +10,16 @@
 //	experiments -run fig8 -quick
 //
 // Runs execute as a dependency DAG (independent experiments in
-// parallel); with -dag-dir every completed node commits a fail-close
-// manifest, so a killed run resumes from its last committed node:
+// parallel). With -run-dir every artefact of the run lands in one
+// directory under a fixed name — report.txt, csv/<series>.csv,
+// metrics.prom, trace.json, drift.json, critpath.json, alerts.json,
+// dag.json, ops-addr — and every completed node commits a fail-close
+// manifest under manifests/, so a killed run resumes from its last
+// committed node:
 //
-//	experiments -run table1 -dag-dir run1           # killed midway…
-//	experiments -run table1 -dag-dir run1           # …resumes here
+//	experiments -run table1 -run-dir run1           # killed midway…
+//	experiments -run table1 -run-dir run1           # …resumes here
+//	obscheck run1                                   # validate the artefacts
 package main
 
 import (
@@ -28,8 +33,8 @@ import (
 	"time"
 
 	"convmeter"
-	"convmeter/internal/checkpoint"
 	"convmeter/internal/driftwatch"
+	"convmeter/internal/experiments"
 	"convmeter/internal/faults"
 	"convmeter/internal/obs"
 	"convmeter/internal/obs/alert"
@@ -46,23 +51,13 @@ func main() {
 	flag.BoolVar(&opts.quick, "quick", false, "use reduced sweeps (for smoke runs)")
 	flag.Int64Var(&opts.faultsSeed, "faults-seed", 0, "fault-injection schedule seed for exttrainfaults (0 = use -seed); the same seed reproduces the identical fault schedule")
 	flag.StringVar(&opts.faultsProfile, "faults-profile", "", "fault profile for exttrainfaults: none, light, heavy, chaos or slowdown (default chaos)")
-	flag.StringVar(&opts.checkpointPath, "checkpoint", "", "checkpoint file: completed experiments and LOMO evaluations are recorded here and skipped on re-run, so a killed sweep resumes from the last completed unit")
-	flag.StringVar(&opts.outPath, "out", "", "also write the output to this file")
-	flag.StringVar(&opts.csvDir, "csvdir", "", "write figure data series as CSV files into this directory")
-	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write collected runtime metrics to this file (Prometheus text; JSONL when the path ends in .jsonl)")
-	flag.StringVar(&opts.traceOut, "trace-out", "", "write recorded spans as Chrome trace-event JSON to this file (open in Perfetto)")
-	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /readyz, /trace, /drift, /critpath, /api/query, /alerts, /profiles, /dashboard, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
-	flag.StringVar(&opts.opsAddrOut, "ops-addr-out", "", "write the ops server's actual bound address to this file (useful with -ops-addr :0)")
-	flag.StringVar(&opts.driftOut, "drift-out", "", "write the final drift-monitor state as JSON to this file")
+	flag.StringVar(&opts.runDir, "run-dir", "", "run directory: the report, CSV series, metrics, trace, drift, critical-path, alert and DAG artefacts land here under fixed names, and every completed DAG node commits a manifest under manifests/ — a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
+	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /readyz, /trace, /drift, /critpath, /dag, /api/query, /alerts, /dashboard, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
 	flag.BoolVar(&opts.driftRefit, "drift-refit", false, "on a drift event, recalibrate the affected stream onto the new regime instead of staying latched")
-	flag.StringVar(&opts.critpathOut, "critpath-out", "", "write the chaos trainer's per-step critical-path attribution report as JSON to this file (also enables clock alignment and /critpath)")
-	flag.StringVar(&opts.alertsOut, "alerts-out", "", "write the final alert report (schema convmeter/alerts/v1) as JSON to this file; enables the in-process retention store and alert engine")
 	flag.Float64Var(&opts.alertsScale, "alerts-scale", 1, "scale factor applied to the built-in alert rules' SLO windows and latches (1 = production cadence; 0.005 compresses 5m to 1.5s for smoke runs)")
 	flag.DurationVar(&opts.sampleInterval, "sample-interval", time.Second, "retention-store sampling and alert evaluation cadence")
-	flag.StringVar(&opts.dagDir, "dag-dir", "", "durable run directory: every completed DAG node commits a content-addressed manifest here, and a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
 	flag.IntVar(&opts.dagWorkers, "dag-workers", 2, "worker pool size for independent DAG nodes")
-	flag.StringVar(&opts.dagCrash, "dag-crash", "", "inject a process crash at node@point (point: boundary or mid) for crash-resume testing; the run dies with exit code 3 and resumes via -dag-dir")
-	flag.StringVar(&opts.dagOut, "dag-out", "", "write the DAG audit trail (per-node state, manifest hash, attempt, blame) as JSON to this file")
+	flag.StringVar(&opts.dagCrash, "dag-crash", "", "inject a process crash at node@point (point: boundary or mid) for crash-resume testing; the run dies with exit code 3 and resumes via -run-dir")
 	flag.Parse()
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -77,25 +72,18 @@ func main() {
 
 // options carries the full flag surface of one invocation.
 type options struct {
-	id                   string
-	seed                 int64
-	quick                bool
-	faultsSeed           int64
-	faultsProfile        string
-	checkpointPath       string
-	outPath, csvDir      string
-	metricsOut, traceOut string
-	opsAddr, opsAddrOut  string
-	driftOut             string
-	driftRefit           bool
-	critpathOut          string
-	alertsOut            string
-	alertsScale          float64
-	sampleInterval       time.Duration
-	dagDir               string
-	dagWorkers           int
-	dagCrash             string
-	dagOut               string
+	id             string
+	seed           int64
+	quick          bool
+	faultsSeed     int64
+	faultsProfile  string
+	runDir         string
+	opsAddr        string
+	driftRefit     bool
+	alertsScale    float64
+	sampleInterval time.Duration
+	dagWorkers     int
+	dagCrash       string
 }
 
 // dagFaults builds the orchestrator-level crash injector for -dag-crash.
@@ -115,29 +103,47 @@ func dagFaults(opts options, bundle *obs.Obs) (*faults.Injector, error) {
 	return faults.New(seed, prof, bundle)
 }
 
+// writeArtefact creates path and streams write into it, surfacing the
+// first error — Close included, since a truncated artefact parses as a
+// lie.
+func writeArtefact(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func run(opts options) (err error) {
 	cfg := convmeter.ExperimentConfig{
 		Seed: opts.seed, Quick: opts.quick,
 		FaultsSeed: opts.faultsSeed, FaultsProfile: opts.faultsProfile,
 	}
-	if opts.checkpointPath != "" {
-		// The fingerprint binds the file to the settings that shaped its
-		// results; changing any of them discards the stale entries.
-		fp := fmt.Sprintf("seed=%d quick=%t faults-seed=%d faults-profile=%s",
-			opts.seed, opts.quick, opts.faultsSeed, opts.faultsProfile)
-		store, err := checkpoint.Open(opts.checkpointPath, fp)
-		if err != nil {
+	in := func(name string) string { return filepath.Join(opts.runDir, name) }
+	manifests := ""
+	if opts.runDir != "" {
+		if err := os.MkdirAll(opts.runDir, 0o755); err != nil {
 			return err
 		}
-		if n := store.Resumed(); n > 0 {
-			fmt.Fprintf(os.Stderr, "experiments: resuming, %d completed unit(s) loaded from %s\n", n, opts.checkpointPath)
-		}
-		cfg.Checkpoint = store
+		manifests = in(experiments.ManifestsDir)
 	}
+	// One rule decides whether the run is observed: a run directory to
+	// hold the artefacts, or a live ops server to serve them. Observed
+	// runs carry the full telemetry stack — registry and tracer, drift
+	// monitor, critical-path tracker, and the retention store, alert
+	// engine and runtime sampler that keep the process's own health
+	// alongside the experiment metrics.
 	var bundle *obs.Obs
 	var mon *driftwatch.Monitor
 	var crit *critpath.Tracker
-	if opts.metricsOut != "" || opts.traceOut != "" || opts.opsAddr != "" || opts.driftOut != "" || opts.critpathOut != "" || opts.alertsOut != "" {
+	var db *tsdb.DB
+	var eng *alert.Engine
+	var prof *runtimeprof.Sampler
+	if opts.runDir != "" || opts.opsAddr != "" {
 		bundle = obs.New()
 		cfg.Obs = bundle
 		dcfg := driftwatch.Config{Obs: bundle}
@@ -150,19 +156,8 @@ func run(opts options) (err error) {
 		}
 		mon = driftwatch.New(dcfg)
 		cfg.Drift = mon
-	}
-	if opts.critpathOut != "" || opts.opsAddr != "" {
 		crit = critpath.NewTracker(bundle)
 		cfg.Crit = crit
-	}
-	// The retention store samples the registry on a cadence, the alert
-	// engine evaluates the built-in SLO rules against it, and the runtime
-	// sampler projects runtime/metrics into the registry so the store
-	// retains the process's own health alongside the experiment metrics.
-	var db *tsdb.DB
-	var eng *alert.Engine
-	var prof *runtimeprof.Sampler
-	if opts.alertsOut != "" || opts.opsAddr != "" {
 		db = tsdb.New(tsdb.Config{Obs: bundle, Interval: opts.sampleInterval})
 		eng = alert.New(alert.Config{
 			Obs: bundle, DB: db,
@@ -173,15 +168,16 @@ func run(opts options) (err error) {
 		prof.Start()
 		db.Start()
 		eng.Start()
-		// Idempotent: the quiesce before the report write stops them
+		// Idempotent: the quiesce before the alert report stops them
 		// first on the happy path; these cover the error returns.
 		defer eng.Stop()
 		defer db.Stop()
 		defer prof.Stop()
 	}
 	// The run itself is a DAG: independent experiments execute in
-	// parallel on a bounded pool, and with -dag-dir every completed node
-	// commits a fail-close manifest, making the run crash-resumable.
+	// parallel on a bounded pool, and with a run directory every
+	// completed node commits a fail-close manifest, making the run
+	// crash-resumable.
 	ids := []string{opts.id}
 	if opts.id == "all" {
 		ids = convmeter.ExperimentIDs()
@@ -191,18 +187,20 @@ func run(opts options) (err error) {
 		return err
 	}
 	runner, err := convmeter.NewExperimentsDAG(ids, cfg, convmeter.ExperimentsDagConfig{
-		Dir: opts.dagDir, Workers: opts.dagWorkers, Faults: inj,
+		Dir: manifests, Workers: opts.dagWorkers, Faults: inj,
 	})
 	if err != nil {
 		return err
 	}
 	if opts.opsAddr != "" {
-		srv, err := ops.Start(ops.Config{
+		// serr, not err: the deferred Close below must report into the
+		// named result, not a shadow scoped to this block.
+		srv, serr := ops.Start(ops.Config{
 			Addr: opts.opsAddr, Obs: bundle, Drift: mon, Crit: crit, Dag: runner,
-			TSDB: db, Alerts: eng, Prof: prof,
+			TSDB: db, Alerts: eng,
 		})
-		if err != nil {
-			return err
+		if serr != nil {
+			return serr
 		}
 		defer func() {
 			if cerr := srv.Close(); cerr != nil && err == nil {
@@ -210,72 +208,44 @@ func run(opts options) (err error) {
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "experiments: ops server on http://%s\n", srv.Addr())
-		if opts.opsAddrOut != "" {
-			if err := os.WriteFile(opts.opsAddrOut, []byte(srv.Addr()+"\n"), 0o644); err != nil {
+		if opts.runDir != "" {
+			if err := os.WriteFile(in(experiments.OpsAddrFile), []byte(srv.Addr()+"\n"), 0o644); err != nil {
 				return err
 			}
 		}
 	}
 	rep, execErr := runner.Execute()
-	if opts.dagOut != "" {
+	if opts.runDir != "" {
 		// The audit trail is written even — especially — when the run
 		// died: it records which node was killed and what survived.
-		f, err := os.Create(opts.dagOut)
-		if err != nil {
-			return err
-		}
-		if err := runner.WriteJSON(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeArtefact(in(experiments.DagFile), runner.WriteJSON); err != nil {
 			return err
 		}
 	}
 	if execErr != nil {
 		if rep != nil && rep.Crashed != "" {
-			fmt.Fprintf(os.Stderr, "experiments: run killed at %s; re-run with the same -dag-dir to resume\n", rep.Crashed)
+			fmt.Fprintf(os.Stderr, "experiments: run killed at %s; re-run with the same -run-dir to resume\n", rep.Crashed)
 		}
 		return execErr
 	}
 	if rep.Resumed > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: resumed %d node(s) from manifests in %s\n", rep.Resumed, opts.dagDir)
+		fmt.Fprintf(os.Stderr, "experiments: resumed %d node(s) from manifests in %s\n", rep.Resumed, manifests)
 	}
 	results, err := convmeter.CollectExperimentsDAG(runner)
 	if err != nil {
 		return err
 	}
-	if err := bundle.Export(opts.metricsOut, opts.traceOut); err != nil {
-		return err
-	}
-	if opts.driftOut != "" {
-		f, err := os.Create(opts.driftOut)
-		if err != nil {
+	sinks := []io.Writer{os.Stdout}
+	if opts.runDir != "" {
+		if err := bundle.Export(in(experiments.MetricsFile), in(experiments.TraceFile)); err != nil {
 			return err
 		}
-		if err := mon.WriteJSON(f); err != nil {
-			// The write failure is the error worth reporting.
-			_ = f.Close()
+		if err := writeArtefact(in(experiments.DriftFile), mon.WriteJSON); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
+		if err := writeArtefact(in(experiments.CritpathFile), crit.WriteJSON); err != nil {
 			return err
 		}
-	}
-	if opts.critpathOut != "" {
-		f, err := os.Create(opts.critpathOut)
-		if err != nil {
-			return err
-		}
-		if err := crit.WriteJSON(f); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if opts.alertsOut != "" {
 		// Quiesce the loops, take one final synchronous sweep so metric
 		// increments from the run's tail are retained and judged, then
 		// export. Stop is idempotent; the deferred stops become no-ops.
@@ -286,23 +256,14 @@ func run(opts options) (err error) {
 		db.Sync()
 		db.Sample(now)
 		eng.Eval(now)
-		f, err := os.Create(opts.alertsOut)
-		if err != nil {
+		if err := writeArtefact(in(experiments.AlertsFile), func(w io.Writer) error {
+			return eng.WriteJSON(w, now)
+		}); err != nil {
 			return err
 		}
-		if err := eng.WriteJSON(f, now); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	sinks := []io.Writer{os.Stdout}
-	if opts.outPath != "" {
-		f, err := os.Create(opts.outPath)
-		if err != nil {
-			return err
+		f, ferr := os.Create(in(experiments.ReportFile))
+		if ferr != nil {
+			return ferr
 		}
 		// A report that silently lost its tail is worse than an error:
 		// surface the close failure unless something already failed.
@@ -322,11 +283,14 @@ func run(opts options) (err error) {
 		if _, err := fmt.Fprintln(w, res.Text); err != nil {
 			return err
 		}
-		if opts.csvDir == "" {
+		if opts.runDir == "" || len(res.Series) == 0 {
 			continue
 		}
+		if err := os.MkdirAll(in(experiments.CSVDir), 0o755); err != nil {
+			return err
+		}
 		for name, doc := range res.Series {
-			path := filepath.Join(opts.csvDir, name+".csv")
+			path := filepath.Join(in(experiments.CSVDir), name+".csv")
 			if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 				return err
 			}

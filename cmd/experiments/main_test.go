@@ -13,8 +13,8 @@ import (
 	"convmeter"
 )
 
-// TestRunWithTelemetry is the acceptance test for the telemetry flags: a
-// real exttrainreal run with -metrics-out and -trace-out must produce a
+// TestRunWithTelemetry is the acceptance test for the run directory's
+// telemetry: a real exttrainreal run with -run-dir must leave a
 // Prometheus metrics file whose step counter matches the training loop
 // and a Chrome trace whose fwd/bwd/grad events are time-contained within
 // the experiment event.
@@ -23,10 +23,7 @@ func TestRunWithTelemetry(t *testing.T) {
 	metricsPath := filepath.Join(dir, "metrics.prom")
 	tracePath := filepath.Join(dir, "trace.json")
 	outPath := filepath.Join(dir, "report.txt")
-	opts := options{
-		id: "exttrainreal", seed: 5, quick: true,
-		outPath: outPath, metricsOut: metricsPath, traceOut: tracePath,
-	}
+	opts := options{id: "exttrainreal", seed: 5, quick: true, runDir: dir}
 	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -113,25 +110,22 @@ func TestRunWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunChaosWithCheckpoint is the acceptance test for the fault flags:
-// a seeded exttrainfaults run must survive the chaos profile (crash,
+// TestRunChaosWithRunDir is the acceptance test for the fault flags: a
+// seeded exttrainfaults run must survive the chaos profile (crash,
 // drops, corruption — the experiment asserts survivor correctness
-// itself), export positive fault counters, and resume from its
-// checkpoint on re-run.
-func TestRunChaosWithCheckpoint(t *testing.T) {
+// itself) and export positive fault counters; a re-run over the same
+// -run-dir resumes the experiment from its manifest instead of
+// re-training.
+func TestRunChaosWithRunDir(t *testing.T) {
 	dir := t.TempDir()
-	metricsPath := filepath.Join(dir, "metrics.prom")
-	ckptPath := filepath.Join(dir, "ckpt.json")
 	opts := options{
 		id: "exttrainfaults", seed: 1, quick: true, faultsSeed: 7,
-		outPath:        filepath.Join(dir, "report.txt"),
-		metricsOut:     metricsPath,
-		checkpointPath: ckptPath,
+		runDir: dir,
 	}
 	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}
-	values := parsePromFile(t, metricsPath)
+	values := parsePromFile(t, filepath.Join(dir, "metrics.prom"))
 	for _, class := range []string{"crash", "drop", "corrupt"} {
 		series := `convmeter_faults_injected_total{class="` + class + `"}`
 		if values[series] < 1 {
@@ -141,26 +135,20 @@ func TestRunChaosWithCheckpoint(t *testing.T) {
 	if values["convmeter_train_workers_removed_total"] < 1 {
 		t.Fatal("no worker removal recorded despite the scheduled crash")
 	}
-	if _, err := os.Stat(ckptPath); err != nil {
-		t.Fatalf("checkpoint file not written: %v", err)
-	}
 
-	// Re-run against the same checkpoint: the experiment is served from
-	// the store, so the trainer never runs and its counters stay dark.
-	metrics2 := filepath.Join(dir, "metrics2.prom")
-	opts.metricsOut = metrics2
-	opts.outPath = filepath.Join(dir, "report2.txt")
+	// Re-run over the same directory: the experiment is served from its
+	// manifest, so the trainer never runs and its counters stay dark.
 	if err := run(opts); err != nil {
 		t.Fatal(err)
 	}
-	values2 := parsePromFile(t, metrics2)
-	if got := values2["convmeter_experiments_resumed_total"]; got != 1 {
-		t.Fatalf("convmeter_experiments_resumed_total = %g, want 1", got)
+	if node := dagNode(t, filepath.Join(dir, "dag.json"), "exp:exttrainfaults"); node.State != "reused" {
+		t.Fatalf("exp:exttrainfaults %s on re-run, want reused", node.State)
 	}
+	values2 := parsePromFile(t, filepath.Join(dir, "metrics.prom"))
 	if got := values2["convmeter_train_steps_total"]; got != 0 {
 		t.Fatalf("resumed run re-trained: %g steps", got)
 	}
-	report, err := os.ReadFile(opts.outPath)
+	report, err := os.ReadFile(filepath.Join(dir, "report.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,28 +157,66 @@ func TestRunChaosWithCheckpoint(t *testing.T) {
 	}
 }
 
-// TestRunWithoutTelemetry keeps the default path dark: no flags, no files.
+// TestRunWithoutTelemetry keeps the default path dark: no run directory,
+// no ops server, no files.
 func TestRunWithoutTelemetry(t *testing.T) {
 	dir := t.TempDir()
-	opts := options{
-		id: "fig2", seed: 5, quick: true,
-		outPath: filepath.Join(dir, "report.txt"),
-	}
-	if err := run(opts); err != nil {
+	t.Chdir(dir)
+	if err := run(options{id: "fig2", seed: 5, quick: true}); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("%d files in out dir, want only the report", len(entries))
+	if len(entries) != 0 {
+		t.Fatalf("%d file(s) written without -run-dir, want none", len(entries))
 	}
+}
+
+// dagNodeDoc is one node row of dag.json.
+type dagNodeDoc struct {
+	ID       string `json:"id"`
+	State    string `json:"state"`
+	Manifest string `json:"manifest"`
+}
+
+// dagDoc mirrors the dag.json audit trail.
+type dagDoc struct {
+	Crashed string       `json:"crashed"`
+	Resumed int          `json:"resumed"`
+	Nodes   []dagNodeDoc `json:"nodes"`
+}
+
+// readDag parses a dag.json audit trail.
+func readDag(t *testing.T, path string) dagDoc {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc dagDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatalf("%s: invalid JSON: %v\n%s", path, err, data)
+	}
+	return doc
+}
+
+// dagNode returns node id's row of a dag.json audit trail.
+func dagNode(t *testing.T, path, id string) dagNodeDoc {
+	t.Helper()
+	for _, n := range readDag(t, path).Nodes {
+		if n.ID == id {
+			return n
+		}
+	}
+	t.Fatalf("%s has no node %s", path, id)
+	return dagNodeDoc{}
 }
 
 // TestRunDagCrashResume is the CLI-level leg of the crash-resume proof:
 // a -dag-crash run dies with ErrDagCrashed after committing its
-// upstream manifests, and a plain re-run over the same -dag-dir resumes
+// upstream manifests, and a plain re-run over the same -run-dir resumes
 // and produces a report byte-identical to an uninterrupted run.
 func TestRunDagCrashResume(t *testing.T) {
 	dir := t.TempDir()
@@ -200,56 +226,38 @@ func TestRunDagCrashResume(t *testing.T) {
 	}
 
 	clean := base
-	clean.dagDir = filepath.Join(dir, "clean")
-	clean.outPath = filepath.Join(dir, "clean.txt")
+	clean.runDir = filepath.Join(dir, "clean")
 	if err := run(clean); err != nil {
 		t.Fatal(err)
 	}
 
 	crashed := base
-	crashed.dagDir = filepath.Join(dir, "resume")
+	crashed.runDir = filepath.Join(dir, "resume")
 	crashed.dagCrash = "lomo@boundary"
-	crashed.dagOut = filepath.Join(dir, "crashed-dag.json")
 	err := run(crashed)
 	if !errors.Is(err, convmeter.ErrDagCrashed) {
 		t.Fatalf("crash run err = %v, want ErrDagCrashed", err)
 	}
-	audit, err := os.ReadFile(crashed.dagOut)
-	if err != nil {
-		t.Fatal(err)
+	audit := readDag(t, filepath.Join(crashed.runDir, "dag.json"))
+	if audit.Crashed != "lomo@boundary" {
+		t.Fatalf("audit blames %q, want lomo@boundary", audit.Crashed)
 	}
-	var dagDoc struct {
-		Crashed string `json:"crashed"`
-		Nodes   []struct {
-			ID       string `json:"id"`
-			State    string `json:"state"`
-			Manifest string `json:"manifest"`
-		} `json:"nodes"`
-	}
-	if err := json.Unmarshal(audit, &dagDoc); err != nil {
-		t.Fatalf("-dag-out invalid JSON: %v\n%s", err, audit)
-	}
-	if dagDoc.Crashed != "lomo@boundary" {
-		t.Fatalf("audit blames %q, want lomo@boundary", dagDoc.Crashed)
-	}
-	for _, n := range dagDoc.Nodes {
+	for _, n := range audit.Nodes {
 		if n.ID == "fit" && (n.State != "done" || n.Manifest == "") {
 			t.Fatalf("fit should have committed before the kill: %+v", n)
 		}
 	}
 
 	resume := base
-	resume.dagDir = crashed.dagDir
-	resume.outPath = filepath.Join(dir, "resumed.txt")
-	resume.dagOut = filepath.Join(dir, "resumed-dag.json")
+	resume.runDir = crashed.runDir
 	if err := run(resume); err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	cleanReport, err := os.ReadFile(clean.outPath)
+	cleanReport, err := os.ReadFile(filepath.Join(clean.runDir, "report.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumedReport, err := os.ReadFile(resume.outPath)
+	resumedReport, err := os.ReadFile(filepath.Join(resume.runDir, "report.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,18 +265,8 @@ func TestRunDagCrashResume(t *testing.T) {
 		t.Fatalf("resumed report differs from uninterrupted run:\n--- clean ---\n%s\n--- resumed ---\n%s",
 			cleanReport, resumedReport)
 	}
-	audit2, err := os.ReadFile(resume.dagOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resumedDoc struct {
-		Resumed int `json:"resumed"`
-	}
-	if err := json.Unmarshal(audit2, &resumedDoc); err != nil {
-		t.Fatal(err)
-	}
-	if resumedDoc.Resumed != 1 {
-		t.Fatalf("resume reused %d node(s), want 1 (fit)", resumedDoc.Resumed)
+	if got := readDag(t, filepath.Join(resume.runDir, "dag.json")).Resumed; got != 1 {
+		t.Fatalf("resume reused %d node(s), want 1 (fit)", got)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// driftDoc mirrors the /drift and -drift-out JSON layout.
+// driftDoc mirrors the /drift and drift.json layout.
 type driftDoc struct {
 	Streams []struct {
 		Model  string `json:"model"`
@@ -28,18 +28,16 @@ type driftDoc struct {
 // chaos run with a slowdown profile executes, concurrent scrapers hit the
 // ops server's /metrics and /drift endpoints; by the end the drift stream
 // must have latched drifting with at least one drift event, and the
-// -drift-out artefact must agree with what /drift served.
+// drift.json artefact must agree with what /drift served.
 func TestRunWithOpsServer(t *testing.T) {
 	dir := t.TempDir()
-	addrPath := filepath.Join(dir, "ops.addr")
+	addrPath := filepath.Join(dir, "ops-addr")
 	driftPath := filepath.Join(dir, "drift.json")
 	opts := options{
 		id: "exttrainfaults", seed: 1, quick: true,
 		faultsSeed: 7, faultsProfile: "slowdown",
-		outPath:    filepath.Join(dir, "report.txt"),
-		opsAddr:    "127.0.0.1:0",
-		opsAddrOut: addrPath,
-		driftOut:   driftPath,
+		runDir:  dir,
+		opsAddr: "127.0.0.1:0",
 	}
 	runErr := make(chan error, 1)
 	go func() { runErr <- run(opts) }()
@@ -129,8 +127,7 @@ func TestRunDriftCleanRun(t *testing.T) {
 	opts := options{
 		id: "exttrainfaults", seed: 1, quick: true,
 		faultsSeed: 7, faultsProfile: "none",
-		outPath:  filepath.Join(dir, "report.txt"),
-		driftOut: driftPath,
+		runDir: dir,
 	}
 	if err := run(opts); err != nil {
 		t.Fatal(err)
@@ -159,8 +156,7 @@ func TestRunDriftRefit(t *testing.T) {
 	opts := options{
 		id: "exttrainfaults", seed: 1, quick: true,
 		faultsSeed: 7, faultsProfile: "slowdown",
-		outPath:    filepath.Join(dir, "report.txt"),
-		driftOut:   driftPath,
+		runDir:     dir,
 		driftRefit: true,
 	}
 	if err := run(opts); err != nil {

@@ -1,111 +1,76 @@
-// Command obscheck validates telemetry artefacts produced by the
-// --metrics-out/--trace-out/--drift-out flags: the metrics file must be
-// parseable Prometheus text exposition (or JSONL) containing at least
-// one convmeter_ sample, the trace file must be a Chrome trace-event
-// JSON document with a traceEvents array, and the drift file must be a
-// well-formed drift-monitor snapshot (optionally asserting that drift
-// was, or was not, detected). It also validates benchmark baseline
-// snapshots written by cmd/benchsnap (-bench BENCH_<n>.json: schema,
-// sorted unique names, >= 1 iteration, finite values) and critical-path
-// attribution reports (-critpath: schema, finite non-negative
-// durations, legal dominant phases, blame consistency — optionally
-// asserting that a specific worker was, or no worker was, blamed) and
-// durable DAG run directories written by experiments -dag-dir
-// (-manifest: every manifest parses, fingerprints and hashes are
-// well-formed, input hashes resolve to committed manifests, and the
-// input graph is acyclic) and alert reports written by experiments
-// -alerts-out or served at /alerts (-alerts: schema, legal lifecycle
-// edges, monotone transition timestamps, no resolve before a fire —
-// optionally asserting that a specific rule did, or did not, fire).
-// Trace validation additionally checks span-graph well-formedness when
-// events carry span args: unique ids, resolvable parents, non-negative
-// durations, and no cross-worker time-travel through causal links
-// beyond the clock-alignment tolerance. CI's obs-smoke, chaos,
-// critpath-smoke and alerts-smoke targets run it against real artefacts so a formatting
+// Command obscheck validates the artefacts of one experiment run. Given
+// the directory written by `experiments -run-dir DIR`, it checks every
+// fixed-name artefact it finds there — report, CSV series, Prometheus
+// metrics, Chrome trace (including span-graph well-formedness), drift
+// snapshot, critical-path report, alert report, DAG audit trail — and
+// the committed manifests, through the executor's own fail-close parser
+// (manifest.Parse), so a tampered output is rejected here exactly as a
+// resume would reject it. The -require-*/-forbid-* flags add verdict
+// assertions on top: a chaos run injected faults, a slowdown run was
+// caught drifting, blamed and alerted on, a clean run was not. -bench
+// validates a benchmark baseline snapshot written by cmd/benchsnap.
+// CI's smoke targets run it against real runs, so a formatting
 // regression fails the build rather than silently producing files
 // Grafana, Perfetto or benchsnap -check reject.
+//
+// Usage:
+//
+//	obscheck [-require-faults] [-require-drift|-forbid-drift] \
+//	         [-require-blame N|-forbid-blame] \
+//	         [-require-firing RULE] [-forbid-firing RULE] RUN_DIR
+//	obscheck -bench BENCH_<n>.json
 package main
 
 import (
 	"bufio"
+	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"convmeter/internal/dagrun"
+	"convmeter/internal/dagrun/manifest"
+	"convmeter/internal/experiments"
+	"convmeter/internal/obs/alert"
+	"convmeter/internal/obs/critpath"
 )
 
+// assertions are the verdict checks layered over plain validation.
+type assertions struct {
+	requireFaults               bool
+	requireDrift, forbidDrift   bool
+	requireBlame                int // -1 disables
+	forbidBlame                 bool
+	requireFiring, forbidFiring string
+}
+
 func main() {
-	metrics := flag.String("metrics", "", "metrics file to validate (Prometheus text, or JSONL for .jsonl paths)")
-	trace := flag.String("trace", "", "Chrome trace-event JSON file to validate")
-	drift := flag.String("drift", "", "drift-monitor JSON snapshot to validate (from -drift-out or GET /drift)")
+	var a assertions
 	bench := flag.String("bench", "", "benchmark snapshot JSON to validate (from benchsnap -out, e.g. BENCH_1.json)")
-	critpath := flag.String("critpath", "", "critical-path attribution report JSON to validate (from -critpath-out or GET /critpath)")
-	manifest := flag.String("manifest", "", "DAG run directory to validate (from experiments -dag-dir): every manifest parses, fingerprints/hashes are well-formed, input hashes resolve to committed manifests, and the input graph is acyclic")
-	alerts := flag.String("alerts", "", "alert report JSON to validate (from experiments -alerts-out or GET /alerts): schema, legal states and lifecycle edges, monotone transition timestamps, no resolve before a fire")
-	requireFiring := flag.String("require-firing", "", "additionally require this rule to have fired at least once in the -alerts report (incident-run validation)")
-	forbidFiring := flag.String("forbid-firing", "", "additionally require this rule to never have fired in the -alerts report (clean-run validation)")
-	requireFaults := flag.Bool("require-faults", false, "additionally require a convmeter_faults_injected_total sample with value > 0 (chaos-run validation)")
-	requireDrift := flag.Bool("require-drift", false, "additionally require at least one drift event and a drifting stream in the -drift snapshot (slowdown-run validation)")
-	forbidDrift := flag.Bool("forbid-drift", false, "additionally require zero drift events in the -drift snapshot (clean-run validation)")
-	requireBlame := flag.Int("require-blame", -1, "additionally require at least one -critpath step blaming this worker (straggler-run validation); -1 disables")
-	forbidBlame := flag.Bool("forbid-blame", false, "additionally require zero blamed steps in the -critpath report (clean-run validation)")
+	flag.BoolVar(&a.requireFaults, "require-faults", false, "additionally require a convmeter_faults_injected_total sample with value > 0 in metrics.prom (chaos-run validation)")
+	flag.BoolVar(&a.requireDrift, "require-drift", false, "additionally require at least one drift event and a drifting stream in drift.json (slowdown-run validation)")
+	flag.BoolVar(&a.forbidDrift, "forbid-drift", false, "additionally require zero drift events in drift.json (clean-run validation)")
+	flag.IntVar(&a.requireBlame, "require-blame", -1, "additionally require at least one critpath.json step blaming this worker (straggler-run validation); -1 disables")
+	flag.BoolVar(&a.forbidBlame, "forbid-blame", false, "additionally require zero blamed steps in critpath.json (clean-run validation)")
+	flag.StringVar(&a.requireFiring, "require-firing", "", "additionally require this rule to have fired at least once in alerts.json (incident-run validation)")
+	flag.StringVar(&a.forbidFiring, "forbid-firing", "", "additionally require this rule to never have fired in alerts.json (clean-run validation)")
 	flag.Parse()
-	if *metrics == "" && *trace == "" && *drift == "" && *bench == "" && *critpath == "" && *manifest == "" && *alerts == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -metrics, -trace, -drift, -bench, -critpath, -manifest and/or -alerts)")
+	dir := flag.Arg(0)
+	if flag.NArg() > 1 || (dir == "" && *bench == "") {
+		fmt.Fprintln(os.Stderr, "obscheck: pass one run directory and/or -bench FILE (see -h)")
 		os.Exit(2)
 	}
-	if (*requireFiring != "" || *forbidFiring != "") && *alerts == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-firing/-forbid-firing need -alerts")
+	if err := a.validate(dir != ""); err != nil {
+		fmt.Fprintln(os.Stderr, "obscheck:", err)
 		os.Exit(2)
-	}
-	if *requireFiring != "" && *requireFiring == *forbidFiring {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-firing and -forbid-firing name the same rule")
-		os.Exit(2)
-	}
-	if *requireFaults && *metrics == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-faults needs -metrics")
-		os.Exit(2)
-	}
-	if (*requireDrift || *forbidDrift) && *drift == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-drift/-forbid-drift need -drift")
-		os.Exit(2)
-	}
-	if *requireDrift && *forbidDrift {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-drift and -forbid-drift are mutually exclusive")
-		os.Exit(2)
-	}
-	if (*requireBlame >= 0 || *forbidBlame) && *critpath == "" {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-blame/-forbid-blame need -critpath")
-		os.Exit(2)
-	}
-	if *requireBlame >= 0 && *forbidBlame {
-		fmt.Fprintln(os.Stderr, "obscheck: -require-blame and -forbid-blame are mutually exclusive")
-		os.Exit(2)
-	}
-	if *metrics != "" {
-		if err := checkMetrics(*metrics, *requireFaults); err != nil {
-			fmt.Fprintln(os.Stderr, "obscheck:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("obscheck: %s ok\n", *metrics)
-	}
-	if *trace != "" {
-		if err := checkTrace(*trace); err != nil {
-			fmt.Fprintln(os.Stderr, "obscheck:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("obscheck: %s ok\n", *trace)
-	}
-	if *drift != "" {
-		if err := checkDrift(*drift, *requireDrift, *forbidDrift); err != nil {
-			fmt.Fprintln(os.Stderr, "obscheck:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("obscheck: %s ok\n", *drift)
 	}
 	if *bench != "" {
 		if err := checkBench(*bench); err != nil {
@@ -114,32 +79,179 @@ func main() {
 		}
 		fmt.Printf("obscheck: %s ok\n", *bench)
 	}
-	if *critpath != "" {
-		if err := checkCritpath(*critpath, *requireBlame, *forbidBlame); err != nil {
+	if dir != "" {
+		checked, err := checkRunDir(dir, a)
+		for _, path := range checked {
+			fmt.Printf("obscheck: %s ok\n", path)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "obscheck:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("obscheck: %s ok\n", *critpath)
-	}
-	if *manifest != "" {
-		if err := checkManifests(*manifest); err != nil {
-			fmt.Fprintln(os.Stderr, "obscheck:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("obscheck: %s ok\n", *manifest)
-	}
-	if *alerts != "" {
-		if err := checkAlerts(*alerts, *requireFiring, *forbidFiring); err != nil {
-			fmt.Fprintln(os.Stderr, "obscheck:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("obscheck: %s ok\n", *alerts)
 	}
 }
 
-// alertsSchema is the report format internal/obs/alert writes; keep in
-// sync with alert.ReportSchema.
-const alertsSchema = "convmeter/alerts/v1"
+// validate rejects contradictory assertions, and assertions without a
+// run directory to judge.
+func (a assertions) validate(haveDir bool) error {
+	if !haveDir && (a.requireFaults || a.requireDrift || a.forbidDrift || a.requireBlame >= 0 ||
+		a.forbidBlame || a.requireFiring != "" || a.forbidFiring != "") {
+		return errors.New("the -require-*/-forbid-* assertions need a run directory")
+	}
+	if a.requireDrift && a.forbidDrift {
+		return errors.New("-require-drift and -forbid-drift are mutually exclusive")
+	}
+	if a.requireBlame >= 0 && a.forbidBlame {
+		return errors.New("-require-blame and -forbid-blame are mutually exclusive")
+	}
+	if a.requireFiring != "" && a.requireFiring == a.forbidFiring {
+		return errors.New("-require-firing and -forbid-firing name the same rule")
+	}
+	return nil
+}
+
+// checkRunDir validates every fixed-name artefact present in a run
+// directory and returns the paths that passed. An artefact an assertion
+// needs must be present; a directory holding none at all fails.
+func checkRunDir(dir string, a assertions) ([]string, error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return nil, err
+	}
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("%s: not a run directory", dir)
+	}
+	in := func(name string) string { return filepath.Join(dir, name) }
+	artefacts := []struct {
+		name   string
+		needed bool // an assertion judges this artefact
+		check  func(path string) error
+	}{
+		{experiments.ReportFile, false, checkReport},
+		{experiments.CSVDir, false, checkCSVDir},
+		{experiments.MetricsFile, a.requireFaults, func(p string) error { return checkMetrics(p, a.requireFaults) }},
+		{experiments.TraceFile, false, checkTrace},
+		{experiments.DriftFile, a.requireDrift || a.forbidDrift, func(p string) error {
+			return checkDrift(p, a.requireDrift, a.forbidDrift)
+		}},
+		{experiments.CritpathFile, a.requireBlame >= 0 || a.forbidBlame, func(p string) error {
+			return checkCritpath(p, a.requireBlame, a.forbidBlame)
+		}},
+		{experiments.AlertsFile, a.requireFiring != "" || a.forbidFiring != "", func(p string) error {
+			return checkAlerts(p, a.requireFiring, a.forbidFiring)
+		}},
+		{experiments.DagFile, false, func(p string) error { return checkDag(p, in(experiments.ManifestsDir)) }},
+		{experiments.ManifestsDir, false, checkManifests},
+	}
+	var checked []string
+	for _, art := range artefacts {
+		path := in(art.name)
+		if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
+			if art.needed {
+				return checked, fmt.Errorf("%s: missing, but an assertion judges it", path)
+			}
+			continue
+		}
+		if err := art.check(path); err != nil {
+			return checked, err
+		}
+		checked = append(checked, path)
+	}
+	if len(checked) == 0 {
+		return nil, fmt.Errorf("%s: no run artefacts found", dir)
+	}
+	return checked, nil
+}
+
+// checkReport requires a non-empty rendered report.
+func checkReport(path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if len(strings.TrimSpace(string(data))) == 0 {
+		return fmt.Errorf("%s: empty report", path)
+	}
+	return nil
+}
+
+// checkCSVDir requires every *.csv series to parse as CSV with a
+// consistent column count and a header row.
+func checkCSVDir(dir string) error {
+	paths, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		return err
+	}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		rows, err := csv.NewReader(f).ReadAll()
+		_ = f.Close() // read-only: the parse result is what matters
+		if err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+		if len(rows) == 0 {
+			return fmt.Errorf("%s: no header row", path)
+		}
+	}
+	return nil
+}
+
+// checkDag validates the DAG audit trail: the schema tag, unique node
+// ids in legal states, a resume count matching the reused nodes, and —
+// where the run committed manifests — every recorded manifest hash
+// matching the committed manifest's own.
+func checkDag(path, manifestsDir string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var rep dagrun.Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return fmt.Errorf("%s: invalid DAG report JSON: %v", path, err)
+	}
+	if rep.Schema != dagrun.SchemaV1 {
+		return fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, dagrun.SchemaV1)
+	}
+	states := map[string]bool{}
+	for _, st := range dagrun.States {
+		states[st] = true
+	}
+	seen := map[string]bool{}
+	reused := 0
+	for _, n := range rep.Nodes {
+		if n.ID == "" || seen[n.ID] {
+			return fmt.Errorf("%s: empty or duplicate node id %q", path, n.ID)
+		}
+		seen[n.ID] = true
+		if !states[n.State] {
+			return fmt.Errorf("%s: node %s: unknown state %q", path, n.ID, n.State)
+		}
+		if n.State == dagrun.StateReused {
+			reused++
+		}
+		if n.Manifest == "" {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(manifestsDir, n.ID+".json"))
+		if err != nil {
+			return fmt.Errorf("%s: node %s records manifest %s: %v", path, n.ID, n.Manifest, err)
+		}
+		m, err := manifest.Parse(raw)
+		if err != nil {
+			return fmt.Errorf("%s: node %s: %v", path, n.ID, err)
+		}
+		if m.Hash != n.Manifest {
+			return fmt.Errorf("%s: node %s records manifest %s, but the committed manifest's hash is %s", path, n.ID, n.Manifest, m.Hash)
+		}
+	}
+	if reused != rep.Resumed {
+		return fmt.Errorf("%s: resumed %d, but %d node(s) are reused", path, rep.Resumed, reused)
+	}
+	return nil
+}
 
 // alertStates are the lifecycle states a rule may legally report, and
 // alertEdges the legal transitions between them: a rule fires from
@@ -200,8 +312,8 @@ func checkAlerts(path, requireFiring, forbidFiring string) error {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("%s: invalid alerts JSON: %v", path, err)
 	}
-	if doc.Schema != alertsSchema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, alertsSchema)
+	if doc.Schema != alert.ReportSchema {
+		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, alert.ReportSchema)
 	}
 	if doc.Now == nil || math.IsNaN(*doc.Now) || math.IsInf(*doc.Now, 0) || *doc.Now < 0 {
 		return fmt.Errorf("%s: now_seconds missing or not finite non-negative", path)
@@ -306,112 +418,44 @@ func checkAlerts(path, requireFiring, forbidFiring string) error {
 	return nil
 }
 
-// manifestSchema is the run-manifest format internal/dagrun/manifest
-// writes; keep in sync with manifest.SchemaV1.
-const manifestSchema = "convmeter/dag-manifest/v1"
-
-// hex64 reports whether s is a 64-digit lowercase hex string — the shape
-// of every fingerprint and content hash the manifest package produces.
-func hex64(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// checkManifests validates a DAG run directory: every *.json file is a
-// well-formed manifest (schema tag, node id matching the file name,
-// 64-hex fingerprint and hash, attempt >= 1, valid JSON output), every
-// input hash resolves to a committed manifest in the same directory
-// whose stored hash matches (the content-address chain is unbroken),
-// and the input graph is acyclic. An empty directory fails: a run that
-// committed nothing has no resume to audit.
+// checkManifests validates a run's manifest directory: every *.json
+// file passes manifest.Parse — the executor's own fail-close parser,
+// which checks the schema and field shapes and recomputes the content
+// hash, so a tampered output is caught here exactly as dagrun would
+// catch it — and names the node its file is named after; every input
+// resolves to a committed manifest; the input graph is acyclic; and
+// every recorded input hash matches its dependency's stored hash (the
+// content-address chain is unbroken). An empty directory fails: a run
+// that committed nothing has no resume to audit.
 func checkManifests(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	type man struct {
-		Schema      string            `json:"schema"`
-		Node        string            `json:"node"`
-		Fingerprint string            `json:"fingerprint"`
-		Inputs      map[string]string `json:"inputs"`
-		Attempt     int               `json:"attempt"`
-		Output      json.RawMessage   `json:"output"`
-		Hash        string            `json:"hash"`
-	}
-	mans := map[string]*man{}
+	mans := map[string]*manifest.Manifest{}
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		data, err := os.ReadFile(dir + "/" + name)
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
-		var m man
-		if err := json.Unmarshal(data, &m); err != nil {
-			return fmt.Errorf("%s/%s: invalid manifest JSON: %v", dir, name, err)
+		m, err := manifest.Parse(data)
+		if err != nil {
+			return fmt.Errorf("%s/%s: %v", dir, name, err)
 		}
-		if m.Schema != manifestSchema {
-			return fmt.Errorf("%s/%s: schema %q, want %q", dir, name, m.Schema, manifestSchema)
-		}
-		if m.Node == "" || m.Node+".json" != name {
+		if m.Node+".json" != name {
 			return fmt.Errorf("%s/%s: names node %q, want the file's own stem", dir, name, m.Node)
 		}
-		if !hex64(m.Fingerprint) {
-			return fmt.Errorf("%s/%s: malformed fingerprint %q", dir, name, m.Fingerprint)
-		}
-		if !hex64(m.Hash) {
-			return fmt.Errorf("%s/%s: malformed hash %q", dir, name, m.Hash)
-		}
-		if m.Attempt < 1 {
-			return fmt.Errorf("%s/%s: attempt %d, want >= 1", dir, name, m.Attempt)
-		}
-		if len(m.Output) == 0 || !json.Valid(m.Output) {
-			return fmt.Errorf("%s/%s: output is not valid JSON", dir, name)
-		}
-		mans[m.Node] = &m
+		mans[m.Node] = m
 	}
 	if len(mans) == 0 {
 		return fmt.Errorf("%s: no manifests (*.json) found", dir)
 	}
-	nodes := make([]string, 0, len(mans))
-	for n := range mans {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	for _, n := range nodes {
-		deps := make([]string, 0, len(mans[n].Inputs))
-		for d := range mans[n].Inputs {
-			deps = append(deps, d)
-		}
-		sort.Strings(deps)
-		for _, d := range deps {
-			if d == "" {
-				return fmt.Errorf("%s: manifest %s has an input with an empty node id", dir, n)
-			}
-			h := mans[n].Inputs[d]
-			if !hex64(h) {
-				return fmt.Errorf("%s: manifest %s: malformed input hash %q for %s", dir, n, h, d)
-			}
-			dep, ok := mans[d]
-			if !ok {
-				return fmt.Errorf("%s: manifest %s consumes input %s, but no manifest for it exists — the chain is broken", dir, n, d)
-			}
-			if dep.Hash != h {
-				return fmt.Errorf("%s: manifest %s recorded input hash %s for %s, but its manifest's hash is %s — stale or tampered", dir, n, h, d, dep.Hash)
-			}
-		}
-	}
-	// Acyclicity: depth-first over sorted ids; a back edge is a cycle.
+	// Resolvability and acyclicity: depth-first over sorted ids; a
+	// missing input breaks the chain, a back edge is a cycle.
 	const (
 		visiting = 1
 		done     = 2
@@ -426,12 +470,10 @@ func checkManifests(dir string) error {
 			return fmt.Errorf("%s: input cycle through %s (path %s)", dir, n, strings.Join(append(path, n), " -> "))
 		}
 		state[n] = visiting
-		deps := make([]string, 0, len(mans[n].Inputs))
-		for d := range mans[n].Inputs {
-			deps = append(deps, d)
-		}
-		sort.Strings(deps)
-		for _, d := range deps {
+		for _, d := range sortedKeys(mans[n].Inputs) {
+			if mans[d] == nil {
+				return fmt.Errorf("%s: manifest %s consumes input %s, but no manifest for it exists — the chain is broken", dir, n, d)
+			}
 			if err := visit(d, append(path, n)); err != nil {
 				return err
 			}
@@ -439,17 +481,32 @@ func checkManifests(dir string) error {
 		state[n] = done
 		return nil
 	}
+	nodes := sortedKeys(mans)
 	for _, n := range nodes {
 		if err := visit(n, nil); err != nil {
 			return err
 		}
 	}
+	for _, n := range nodes {
+		for _, d := range sortedKeys(mans[n].Inputs) {
+			if h := mans[n].Inputs[d]; mans[d].Hash != h {
+				return fmt.Errorf("%s: manifest %s recorded input hash %s for %s, but its manifest's hash is %s — stale or tampered", dir, n, h, d, mans[d].Hash)
+			}
+		}
+	}
 	return nil
 }
 
-// critpathSchema is the report format internal/obs/critpath writes;
-// keep in sync with critpath.SchemaV1.
-const critpathSchema = "convmeter/critpath/v1"
+// sortedKeys returns a map's keys in sorted order, so every check
+// reports the same first failure on every run.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // critpathClasses are the phases a step may legally report as dominant.
 var critpathClasses = map[string]bool{
@@ -495,8 +552,8 @@ func checkCritpath(path string, requireBlame int, forbidBlame bool) error {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("%s: invalid critpath JSON: %v", path, err)
 	}
-	if doc.Schema != critpathSchema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, critpathSchema)
+	if doc.Schema != critpath.SchemaV1 {
+		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, critpath.SchemaV1)
 	}
 	if doc.Steps == nil {
 		return fmt.Errorf("%s: steps missing or null", path)
@@ -651,9 +708,6 @@ func checkMetrics(path string, requireFaults bool) error {
 		return err
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return checkJSONL(path, f, requireFaults)
-	}
 	samples, faults := 0, 0.0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -690,41 +744,6 @@ func checkMetrics(path string, requireFaults bool) error {
 	}
 	if requireFaults && faults <= 0 {
 		return fmt.Errorf("%s: no positive %s sample (chaos run injected nothing?)", path, faultsSeries)
-	}
-	return nil
-}
-
-// checkJSONL requires every line to be a standalone JSON object and at
-// least one to carry a convmeter_-prefixed name (plus, with
-// requireFaults, a positive fault-injection counter).
-func checkJSONL(path string, f *os.File, requireFaults bool) error {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line, named, faults := 0, 0, 0.0
-	for sc.Scan() {
-		line++
-		var rec map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return fmt.Errorf("%s:%d: invalid JSONL record: %v", path, line, err)
-		}
-		name, _ := rec["name"].(string)
-		if strings.HasPrefix(name, "convmeter_") {
-			named++
-		}
-		if strings.HasPrefix(name, faultsSeries) {
-			if v, ok := rec["value"].(float64); ok {
-				faults += v
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if named == 0 {
-		return fmt.Errorf("%s: no convmeter_ records", path)
-	}
-	if requireFaults && faults <= 0 {
-		return fmt.Errorf("%s: no positive %s record (chaos run injected nothing?)", path, faultsSeries)
 	}
 	return nil
 }

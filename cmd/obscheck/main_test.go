@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"convmeter/internal/dagrun"
+	"convmeter/internal/dagrun/manifest"
+	"convmeter/internal/experiments"
 	"convmeter/internal/obs"
 	"convmeter/internal/obs/alert"
 	"convmeter/internal/obs/tsdb"
@@ -60,11 +62,19 @@ func TestCheckDrift(t *testing.T) {
 }
 
 // realManifestDir runs a small DAG with a durable directory so the
-// fixture is exactly what experiments -dag-dir commits, not a
+// fixture is exactly what experiments -run-dir commits, not a
 // hand-rolled imitation that could drift from the writer.
 func realManifestDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
+	realDagRun(t, dir)
+	return dir
+}
+
+// realDagRun executes a two-node fit → report DAG committing its
+// manifests into dir and returns the finished runner.
+func realDagRun(t *testing.T, dir string) *dagrun.Runner {
+	t.Helper()
 	r, err := dagrun.New(dagrun.Config{Dir: dir, Code: "obscheck-test@v1", Workers: 2}, []dagrun.Node{
 		{ID: "fit", Run: func(dagrun.Inputs) (any, error) { return map[string]float64{"coef": 1.5}, nil }},
 		{ID: "report", Deps: []string{"fit"}, Run: func(in dagrun.Inputs) (any, error) {
@@ -81,11 +91,13 @@ func realManifestDir(t *testing.T) string {
 	if _, err := r.Execute(); err != nil {
 		t.Fatal(err)
 	}
-	return dir
+	return r
 }
 
-// mutateManifest rewrites one top-level field of dir/node.json.
-func mutateManifest(t *testing.T, dir, node string, mutate func(map[string]json.RawMessage)) {
+// mutateManifest rewrites one top-level field of dir/node.json. With
+// reseal it then restamps the content hash over the mutated fields, so
+// the defect must be caught by a check other than the hash comparison.
+func mutateManifest(t *testing.T, dir, node string, reseal bool, mutate func(map[string]json.RawMessage)) {
 	t.Helper()
 	path := filepath.Join(dir, node+".json")
 	data, err := os.ReadFile(path)
@@ -100,6 +112,16 @@ func mutateManifest(t *testing.T, dir, node string, mutate func(map[string]json.
 	out, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if reseal {
+		var m manifest.Manifest
+		if err := json.Unmarshal(out, &m); err != nil {
+			t.Fatal(err)
+		}
+		doc["hash"], _ = json.Marshal(manifest.HashOf(&m))
+		if out, err = json.Marshal(doc); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
@@ -131,6 +153,8 @@ func TestCheckManifests(t *testing.T) {
 			t.Fatal("truncated manifest accepted")
 		}
 	})
+	// Every mutation but upper-hash is resealed: each defect must be
+	// caught by its own check, not by the content-hash comparison.
 	mutations := []struct {
 		name   string
 		node   string
@@ -158,7 +182,7 @@ func TestCheckManifests(t *testing.T) {
 	for _, tc := range mutations {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := realManifestDir(t)
-			mutateManifest(t, dir, tc.node, tc.mutate)
+			mutateManifest(t, dir, tc.node, tc.name != "upper-hash", tc.mutate)
 			err := checkManifests(dir)
 			if err == nil {
 				t.Fatal("mutated manifest accepted")
@@ -168,6 +192,18 @@ func TestCheckManifests(t *testing.T) {
 			}
 		})
 	}
+	t.Run("tampered-output", func(t *testing.T) {
+		// A changed output under the stored hash: dagrun fails closed and
+		// re-runs such a node, so the validator must reject it too.
+		dir := realManifestDir(t)
+		mutateManifest(t, dir, "fit", false, func(d map[string]json.RawMessage) {
+			d["output"] = json.RawMessage(`{"coef":3}`)
+		})
+		err := checkManifests(dir)
+		if err == nil || !strings.Contains(err.Error(), "tampered") {
+			t.Fatalf("tampered output not rejected: %v", err)
+		}
+	})
 	t.Run("cycle", func(t *testing.T) {
 		dir := realManifestDir(t)
 		// Point fit's inputs back at report, matching report's committed
@@ -182,12 +218,105 @@ func TestCheckManifests(t *testing.T) {
 		if err := json.Unmarshal(data, &rep); err != nil {
 			t.Fatal(err)
 		}
-		mutateManifest(t, dir, "fit", func(d map[string]json.RawMessage) {
+		mutateManifest(t, dir, "fit", true, func(d map[string]json.RawMessage) {
 			d["inputs"] = json.RawMessage(`{"report":"` + rep.Hash + `"}`)
 		})
 		err = checkManifests(dir)
 		if err == nil || !strings.Contains(err.Error(), "cycle") {
 			t.Fatalf("cycle not detected: %v", err)
+		}
+	})
+}
+
+// writeRunDir lays out a run directory the way experiments -run-dir
+// does: report, one CSV series, committed manifests and the DAG audit
+// trail.
+func writeRunDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	r := realDagRun(t, filepath.Join(dir, experiments.ManifestsDir))
+	files := map[string]string{
+		experiments.ReportFile:                          "== fixture ==\ncoef ok\n",
+		filepath.Join(experiments.CSVDir, "series.csv"): "x,y\n1,2\n",
+	}
+	var dag strings.Builder
+	if err := r.WriteJSON(&dag); err != nil {
+		t.Fatal(err)
+	}
+	files[experiments.DagFile] = dag.String()
+	for name, doc := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+func TestCheckRunDir(t *testing.T) {
+	none := assertions{requireBlame: -1}
+	t.Run("real-layout-passes", func(t *testing.T) {
+		checked, err := checkRunDir(writeRunDir(t), none)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(checked) != 4 {
+			t.Fatalf("checked %v, want report, csv, dag and manifests", checked)
+		}
+	})
+	t.Run("tampered-output", func(t *testing.T) {
+		dir := writeRunDir(t)
+		mutateManifest(t, filepath.Join(dir, experiments.ManifestsDir), "fit", false, func(d map[string]json.RawMessage) {
+			d["output"] = json.RawMessage(`{"coef":3}`)
+		})
+		if _, err := checkRunDir(dir, none); err == nil || !strings.Contains(err.Error(), "tampered") {
+			t.Fatalf("tampered manifest output accepted: %v", err)
+		}
+	})
+	t.Run("dag-hash-mismatch", func(t *testing.T) {
+		dir := writeRunDir(t)
+		path := filepath.Join(dir, experiments.DagFile)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep dagrun.Report
+		if err := json.Unmarshal(data, &rep); err != nil {
+			t.Fatal(err)
+		}
+		rep.Nodes[0].Manifest = strings.Repeat("0", 64)
+		if data, err = json.Marshal(rep); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := checkRunDir(dir, none); err == nil || !strings.Contains(err.Error(), "committed manifest") {
+			t.Fatalf("audit trail disagreeing with the manifests accepted: %v", err)
+		}
+	})
+	t.Run("ragged-csv", func(t *testing.T) {
+		dir := writeRunDir(t)
+		if err := os.WriteFile(filepath.Join(dir, experiments.CSVDir, "bad.csv"), []byte("x,y\n1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := checkRunDir(dir, none); err == nil {
+			t.Fatal("ragged CSV series accepted")
+		}
+	})
+	t.Run("assertion-needs-artefact", func(t *testing.T) {
+		a := none
+		a.requireFaults = true
+		if _, err := checkRunDir(writeRunDir(t), a); err == nil || !strings.Contains(err.Error(), "missing") {
+			t.Fatalf("-require-faults without metrics.prom passed: %v", err)
+		}
+	})
+	t.Run("empty-dir", func(t *testing.T) {
+		if _, err := checkRunDir(t.TempDir(), none); err == nil {
+			t.Fatal("directory without artefacts accepted")
 		}
 	})
 }
@@ -236,7 +365,7 @@ func TestCheckBench(t *testing.T) {
 
 // realAlertReport drives a real obs+tsdb+alert stack through a fire and
 // a resolve on a manual clock and exports its report, so the fixture is
-// exactly what experiments -alerts-out writes, not a hand-rolled
+// exactly what experiments -run-dir writes, not a hand-rolled
 // imitation that could drift from the writer.
 func realAlertReport(t *testing.T) string {
 	t.Helper()

@@ -29,7 +29,7 @@ import (
 	"strconv"
 )
 
-// SchemaV1 tags the manifest format; cmd/obscheck -manifest checks it.
+// SchemaV1 tags the manifest format; cmd/obscheck checks it via Parse.
 const SchemaV1 = "convmeter/dag-manifest/v1"
 
 // Manifest is the durable record of one completed DAG node.

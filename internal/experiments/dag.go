@@ -15,6 +15,22 @@ import (
 // resurfacing as current results.
 const CodeFingerprint = "convmeter/experiments@v1"
 
+// The run-directory layout: cmd/experiments -run-dir writes every
+// artefact of a run under these fixed names, and cmd/obscheck validates
+// whatever it finds there.
+const (
+	ReportFile   = "report.txt"
+	CSVDir       = "csv"           // one <series>.csv per figure data series
+	MetricsFile  = "metrics.prom"  // Prometheus text exposition
+	TraceFile    = "trace.json"    // Chrome trace-event JSON
+	DriftFile    = "drift.json"    // drift-monitor snapshot
+	CritpathFile = "critpath.json" // critical-path attribution report
+	AlertsFile   = "alerts.json"   // alert report
+	DagFile      = "dag.json"      // DAG audit trail
+	OpsAddrFile  = "ops-addr"      // the ops server's bound address
+	ManifestsDir = "manifests"     // one <node>.json manifest per committed node
+)
+
 // DagConfig parameterises a durable experiment run on top of the
 // experiment Config.
 type DagConfig struct {

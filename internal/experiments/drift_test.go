@@ -1,39 +1,34 @@
 package experiments
 
 import (
-	"path/filepath"
 	"testing"
 
-	"convmeter/internal/checkpoint"
 	"convmeter/internal/core"
+	"convmeter/internal/dagrun"
 	"convmeter/internal/driftwatch"
 )
 
 // TestLomoEvalFeedsDrift: a freshly computed LOMO evaluation streams its
 // scatter pairs into the drift monitor — inference evaluations on the
-// "fwd" phase, training evaluations on "iter" — while a checkpoint-served
-// repeat feeds nothing (its pairs were already streamed by the run that
-// computed it).
+// "fwd" phase, training evaluations on "iter" — while a repeat run served
+// from its manifests feeds nothing (its pairs were already streamed by
+// the run that computed them).
 func TestLomoEvalFeedsDrift(t *testing.T) {
-	store, err := checkpoint.Open(filepath.Join(t.TempDir(), "ckpt.json"), "test")
-	if err != nil {
-		t.Fatal(err)
-	}
 	mon := driftwatch.New(driftwatch.Config{})
-	cfg := Config{Checkpoint: store, Drift: mon}
+	cfg := Config{Drift: mon}
 
 	infer := &core.Evaluation{Pairs: []core.PredPair{
 		{Model: "alexnet", Actual: 0.010, Pred: 0.011},
 		{Model: "alexnet", Actual: 0.020, Pred: 0.019},
 		{Model: "vgg16", Actual: 0.100, Pred: 0.104},
 	}}
-	if _, err := lomoEval(cfg, "drift/infer", func() (*core.Evaluation, error) { return infer, nil }); err != nil {
+	if _, err := lomoEval(cfg, func() (*core.Evaluation, error) { return infer, nil }); err != nil {
 		t.Fatal(err)
 	}
 	train := &core.TrainEvaluation{Evaluation: core.Evaluation{Pairs: []core.PredPair{
 		{Model: "resnet50", Actual: 0.300, Pred: 0.310},
 	}}}
-	if _, err := lomoEval(cfg, "drift/train", func() (*core.TrainEvaluation, error) { return train, nil }); err != nil {
+	if _, err := lomoEval(cfg, func() (*core.TrainEvaluation, error) { return train, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,19 +51,39 @@ func TestLomoEvalFeedsDrift(t *testing.T) {
 		}
 	}
 
-	// Checkpoint-served repeat: no new pairs.
-	if _, err := lomoEval(cfg, "drift/infer", func() (*core.Evaluation, error) {
-		t.Fatal("checkpointed eval re-ran")
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := mon.Stream("alexnet", "fwd").Snapshot().Pairs; got != 2 {
-		t.Errorf("checkpoint-served eval fed the monitor: %d pairs, want 2", got)
-	}
-
 	// Disabled monitoring and unrelated result types are no-ops.
 	feedDriftEval(Config{}, infer)
 	feedDriftEval(cfg, 42)
 	feedDriftEval(cfg, (*core.Evaluation)(nil))
+
+	// A DAG run over a run directory streams its LOMO pairs once; a
+	// repeat over the same directory serves the node from its manifest,
+	// so the monitor receives no new pairs.
+	mon = driftwatch.New(driftwatch.Config{})
+	cfg = Config{Seed: 1, Quick: true, Drift: mon}
+	dcfg := DagConfig{Dir: t.TempDir(), Workers: 2}
+	if _, _, err := RunDAG([]string{"table2"}, cfg, dcfg); err != nil {
+		t.Fatal(err)
+	}
+	pairs := func() int {
+		n := 0
+		for _, st := range mon.Snapshot().Streams {
+			n += st.Pairs
+		}
+		return n
+	}
+	fed := pairs()
+	if fed == 0 {
+		t.Fatal("fresh run fed no LOMO pairs into the monitor")
+	}
+	_, rep, err := RunDAG([]string{"table2"}, cfg, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rep.Node(nodeID("table2")); st == nil || st.State != dagrun.StateReused {
+		t.Fatalf("repeat run did not reuse the table2 manifest: %+v", st)
+	}
+	if got := pairs(); got != fed {
+		t.Errorf("manifest-served repeat fed the monitor: %d pairs, want %d", got, fed)
+	}
 }

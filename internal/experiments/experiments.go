@@ -13,7 +13,6 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"convmeter/internal/checkpoint"
 	"convmeter/internal/driftwatch"
 	"convmeter/internal/obs"
 	"convmeter/internal/obs/critpath"
@@ -33,10 +32,6 @@ type Config struct {
 	// instrumented layers underneath (bench, exec, allreduce, train)
 	// record. Nil disables telemetry at zero cost.
 	Obs *obs.Obs
-	// Checkpoint, when non-nil, records completed experiments and LOMO
-	// evaluations so a killed sweep resumes from the last completed unit.
-	// Nil disables checkpointing.
-	Checkpoint *checkpoint.Store
 	// FaultsSeed drives the chaos experiment's fault schedule; 0 falls
 	// back to Seed. The same FaultsSeed reproduces the identical schedule.
 	FaultsSeed int64

@@ -98,7 +98,7 @@ func fixtureConfig() *Config {
 func TestAnalyzerFixtures(t *testing.T) {
 	root := repoRoot(t)
 	loader := NewLoader(root)
-	for _, name := range []string{"boundary", "floatcmp", "droppederr", "synccopy", "goleak", "determinism", "unitcheck", "lockcheck", "hotpath", "hotdefer", "lifetime", "ctxflow", "chanproto"} {
+	for _, name := range []string{"boundary", "floatcmp", "droppederr", "goleak", "determinism", "unitcheck", "lockcheck", "hotpath", "hotdefer", "lifetime", "ctxflow", "chanproto"} {
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join(root, "internal", "lint", "testdata", name)
 			pkg, err := loader.LoadDir(dir, "convmeter/internal/lint/testdata/"+name)

@@ -17,7 +17,6 @@ func Suite(cfg *Config) []*Analyzer {
 		NewChanproto(cfg),
 		FloatCmp,
 		DroppedErr,
-		SyncCopy,
 		GoLeak,
 	}
 }

@@ -317,7 +317,7 @@ func (e *Engine) History() []Transition {
 }
 
 // Report is the exported alert document, schema convmeter/alerts/v1 —
-// what /alerts serves and obscheck -alerts validates.
+// what /alerts serves and obscheck validates as alerts.json.
 type Report struct {
 	Schema      string       `json:"schema"`
 	NowSeconds  float64      `json:"now_seconds"`
