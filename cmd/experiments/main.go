@@ -12,8 +12,8 @@
 // Runs execute as a dependency DAG (independent experiments in
 // parallel). With -run-dir every artefact of the run lands in one
 // directory under a fixed name — report.txt, csv/<series>.csv,
-// metrics.prom, trace.json, drift.json, critpath.json, alerts.json,
-// dag.json, ops-addr — and every completed node commits a fail-close
+// metrics.prom, trace.json, drift.json, critpath.json, dag.json,
+// ops-addr — and every completed node commits a fail-close
 // manifest under manifests/, so a killed run resumes from its last
 // committed node:
 //
@@ -30,18 +30,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"convmeter"
 	"convmeter/internal/driftwatch"
 	"convmeter/internal/experiments"
 	"convmeter/internal/faults"
 	"convmeter/internal/obs"
-	"convmeter/internal/obs/alert"
 	"convmeter/internal/obs/critpath"
 	"convmeter/internal/obs/ops"
-	"convmeter/internal/obs/runtimeprof"
-	"convmeter/internal/obs/tsdb"
 )
 
 func main() {
@@ -51,11 +47,9 @@ func main() {
 	flag.BoolVar(&opts.quick, "quick", false, "use reduced sweeps (for smoke runs)")
 	flag.Int64Var(&opts.faultsSeed, "faults-seed", 0, "fault-injection schedule seed for exttrainfaults (0 = use -seed); the same seed reproduces the identical fault schedule")
 	flag.StringVar(&opts.faultsProfile, "faults-profile", "", "fault profile for exttrainfaults: none, light, heavy, chaos or slowdown (default chaos)")
-	flag.StringVar(&opts.runDir, "run-dir", "", "run directory: the report, CSV series, metrics, trace, drift, critical-path, alert and DAG artefacts land here under fixed names, and every completed DAG node commits a manifest under manifests/ — a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
-	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /readyz, /trace, /drift, /critpath, /dag, /api/query, /alerts, /dashboard, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
+	flag.StringVar(&opts.runDir, "run-dir", "", "run directory: the report, CSV series, metrics, trace, drift, critical-path and DAG artefacts land here under fixed names, and every completed DAG node commits a manifest under manifests/ — a re-run over the same directory resumes fail-close from fingerprint-matching manifests")
+	flag.StringVar(&opts.opsAddr, "ops-addr", "", "serve the live ops endpoints (/metrics, /healthz, /readyz, /trace, /drift, /critpath, /dag, /debug/pprof) on this address (e.g. localhost:6060) while experiments run; off by default")
 	flag.BoolVar(&opts.driftRefit, "drift-refit", false, "on a drift event, recalibrate the affected stream onto the new regime instead of staying latched")
-	flag.Float64Var(&opts.alertsScale, "alerts-scale", 1, "scale factor applied to the built-in alert rules' SLO windows and latches (1 = production cadence; 0.005 compresses 5m to 1.5s for smoke runs)")
-	flag.DurationVar(&opts.sampleInterval, "sample-interval", time.Second, "retention-store sampling and alert evaluation cadence")
 	flag.IntVar(&opts.dagWorkers, "dag-workers", 2, "worker pool size for independent DAG nodes")
 	flag.StringVar(&opts.dagCrash, "dag-crash", "", "inject a process crash at node@point (point: boundary or mid) for crash-resume testing; the run dies with exit code 3 and resumes via -run-dir")
 	flag.Parse()
@@ -72,18 +66,16 @@ func main() {
 
 // options carries the full flag surface of one invocation.
 type options struct {
-	id             string
-	seed           int64
-	quick          bool
-	faultsSeed     int64
-	faultsProfile  string
-	runDir         string
-	opsAddr        string
-	driftRefit     bool
-	alertsScale    float64
-	sampleInterval time.Duration
-	dagWorkers     int
-	dagCrash       string
+	id            string
+	seed          int64
+	quick         bool
+	faultsSeed    int64
+	faultsProfile string
+	runDir        string
+	opsAddr       string
+	driftRefit    bool
+	dagWorkers    int
+	dagCrash      string
 }
 
 // dagFaults builds the orchestrator-level crash injector for -dag-crash.
@@ -134,15 +126,10 @@ func run(opts options) (err error) {
 	// One rule decides whether the run is observed: a run directory to
 	// hold the artefacts, or a live ops server to serve them. Observed
 	// runs carry the full telemetry stack — registry and tracer, drift
-	// monitor, critical-path tracker, and the retention store, alert
-	// engine and runtime sampler that keep the process's own health
-	// alongside the experiment metrics.
+	// monitor and critical-path tracker.
 	var bundle *obs.Obs
 	var mon *driftwatch.Monitor
 	var crit *critpath.Tracker
-	var db *tsdb.DB
-	var eng *alert.Engine
-	var prof *runtimeprof.Sampler
 	if opts.runDir != "" || opts.opsAddr != "" {
 		bundle = obs.New()
 		cfg.Obs = bundle
@@ -158,21 +145,6 @@ func run(opts options) (err error) {
 		cfg.Drift = mon
 		crit = critpath.NewTracker(bundle)
 		cfg.Crit = crit
-		db = tsdb.New(tsdb.Config{Obs: bundle, Interval: opts.sampleInterval})
-		eng = alert.New(alert.Config{
-			Obs: bundle, DB: db,
-			Rules:    alert.BuiltinRules(opts.alertsScale),
-			Interval: opts.sampleInterval,
-		})
-		prof = runtimeprof.New(runtimeprof.Config{Obs: bundle, Interval: opts.sampleInterval})
-		prof.Start()
-		db.Start()
-		eng.Start()
-		// Idempotent: the quiesce before the alert report stops them
-		// first on the happy path; these cover the error returns.
-		defer eng.Stop()
-		defer db.Stop()
-		defer prof.Stop()
 	}
 	// The run itself is a DAG: independent experiments execute in
 	// parallel on a bounded pool, and with a run directory every
@@ -197,7 +169,6 @@ func run(opts options) (err error) {
 		// named result, not a shadow scoped to this block.
 		srv, serr := ops.Start(ops.Config{
 			Addr: opts.opsAddr, Obs: bundle, Drift: mon, Crit: crit, Dag: runner,
-			TSDB: db, Alerts: eng,
 		})
 		if serr != nil {
 			return serr
@@ -244,21 +215,6 @@ func run(opts options) (err error) {
 			return err
 		}
 		if err := writeArtefact(in(experiments.CritpathFile), crit.WriteJSON); err != nil {
-			return err
-		}
-		// Quiesce the loops, take one final synchronous sweep so metric
-		// increments from the run's tail are retained and judged, then
-		// export. Stop is idempotent; the deferred stops become no-ops.
-		eng.Stop()
-		db.Stop()
-		prof.Stop()
-		now := db.Now()
-		db.Sync()
-		db.Sample(now)
-		eng.Eval(now)
-		if err := writeArtefact(in(experiments.AlertsFile), func(w io.Writer) error {
-			return eng.WriteJSON(w, now)
-		}); err != nil {
 			return err
 		}
 		f, ferr := os.Create(in(experiments.ReportFile))

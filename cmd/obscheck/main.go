@@ -2,12 +2,12 @@
 // the directory written by `experiments -run-dir DIR`, it checks every
 // fixed-name artefact it finds there — report, CSV series, Prometheus
 // metrics, Chrome trace (including span-graph well-formedness), drift
-// snapshot, critical-path report, alert report, DAG audit trail — and
+// snapshot, critical-path report, DAG audit trail — and
 // the committed manifests, through the executor's own fail-close parser
 // (manifest.Parse), so a tampered output is rejected here exactly as a
 // resume would reject it. The -require-*/-forbid-* flags add verdict
 // assertions on top: a chaos run injected faults, a slowdown run was
-// caught drifting, blamed and alerted on, a clean run was not. -bench
+// caught drifting and blamed, a clean run was not. -bench
 // validates a benchmark baseline snapshot written by cmd/benchsnap.
 // CI's smoke targets run it against real runs, so a formatting
 // regression fails the build rather than silently producing files
@@ -16,8 +16,7 @@
 // Usage:
 //
 //	obscheck [-require-faults] [-require-drift|-forbid-drift] \
-//	         [-require-blame N|-forbid-blame] \
-//	         [-require-firing RULE] [-forbid-firing RULE] RUN_DIR
+//	         [-require-blame N|-forbid-blame] RUN_DIR
 //	obscheck -bench BENCH_<n>.json
 package main
 
@@ -39,17 +38,15 @@ import (
 	"convmeter/internal/dagrun"
 	"convmeter/internal/dagrun/manifest"
 	"convmeter/internal/experiments"
-	"convmeter/internal/obs/alert"
 	"convmeter/internal/obs/critpath"
 )
 
 // assertions are the verdict checks layered over plain validation.
 type assertions struct {
-	requireFaults               bool
-	requireDrift, forbidDrift   bool
-	requireBlame                int // -1 disables
-	forbidBlame                 bool
-	requireFiring, forbidFiring string
+	requireFaults             bool
+	requireDrift, forbidDrift bool
+	requireBlame              int // -1 disables
+	forbidBlame               bool
 }
 
 func main() {
@@ -60,8 +57,6 @@ func main() {
 	flag.BoolVar(&a.forbidDrift, "forbid-drift", false, "additionally require zero drift events in drift.json (clean-run validation)")
 	flag.IntVar(&a.requireBlame, "require-blame", -1, "additionally require at least one critpath.json step blaming this worker (straggler-run validation); -1 disables")
 	flag.BoolVar(&a.forbidBlame, "forbid-blame", false, "additionally require zero blamed steps in critpath.json (clean-run validation)")
-	flag.StringVar(&a.requireFiring, "require-firing", "", "additionally require this rule to have fired at least once in alerts.json (incident-run validation)")
-	flag.StringVar(&a.forbidFiring, "forbid-firing", "", "additionally require this rule to never have fired in alerts.json (clean-run validation)")
 	flag.Parse()
 	dir := flag.Arg(0)
 	if flag.NArg() > 1 || (dir == "" && *bench == "") {
@@ -94,8 +89,7 @@ func main() {
 // validate rejects contradictory assertions, and assertions without a
 // run directory to judge.
 func (a assertions) validate(haveDir bool) error {
-	if !haveDir && (a.requireFaults || a.requireDrift || a.forbidDrift || a.requireBlame >= 0 ||
-		a.forbidBlame || a.requireFiring != "" || a.forbidFiring != "") {
+	if !haveDir && (a.requireFaults || a.requireDrift || a.forbidDrift || a.requireBlame >= 0 || a.forbidBlame) {
 		return errors.New("the -require-*/-forbid-* assertions need a run directory")
 	}
 	if a.requireDrift && a.forbidDrift {
@@ -103,9 +97,6 @@ func (a assertions) validate(haveDir bool) error {
 	}
 	if a.requireBlame >= 0 && a.forbidBlame {
 		return errors.New("-require-blame and -forbid-blame are mutually exclusive")
-	}
-	if a.requireFiring != "" && a.requireFiring == a.forbidFiring {
-		return errors.New("-require-firing and -forbid-firing name the same rule")
 	}
 	return nil
 }
@@ -136,9 +127,6 @@ func checkRunDir(dir string, a assertions) ([]string, error) {
 		}},
 		{experiments.CritpathFile, a.requireBlame >= 0 || a.forbidBlame, func(p string) error {
 			return checkCritpath(p, a.requireBlame, a.forbidBlame)
-		}},
-		{experiments.AlertsFile, a.requireFiring != "" || a.forbidFiring != "", func(p string) error {
-			return checkAlerts(p, a.requireFiring, a.forbidFiring)
 		}},
 		{experiments.DagFile, false, func(p string) error { return checkDag(p, in(experiments.ManifestsDir)) }},
 		{experiments.ManifestsDir, false, checkManifests},
@@ -249,171 +237,6 @@ func checkDag(path, manifestsDir string) error {
 	}
 	if reused != rep.Resumed {
 		return fmt.Errorf("%s: resumed %d, but %d node(s) are reused", path, rep.Resumed, reused)
-	}
-	return nil
-}
-
-// alertStates are the lifecycle states a rule may legally report, and
-// alertEdges the legal transitions between them: a rule fires from
-// inactive or resolved, and resolves only from firing — so a resolve
-// can never precede a fire.
-var alertStates = map[string]bool{
-	"inactive": true, "firing": true, "resolved": true,
-}
-
-var alertEdges = map[[2]string]bool{
-	{"inactive", "firing"}: true,
-	{"resolved", "firing"}: true,
-	{"firing", "resolved"}: true,
-}
-
-// alertSeverities and alertKinds mirror the alert package's enums.
-var alertSeverities = map[string]bool{"critical": true, "warning": true}
-
-var alertKinds = map[string]bool{
-	"threshold": true, "absence": true, "burnrate": true,
-}
-
-// checkAlerts validates an alert report: the schema tag, a status entry
-// per rule (sorted, unique, legal severity/kind/state, finite values),
-// and a well-formed transition history — monotone non-decreasing
-// timestamps, legal lifecycle edges only, per-rule edges that chain
-// (each From equals the rule's previous To, starting from inactive, so
-// no rule resolves before it ever fired), and a final per-rule state
-// that matches the status table. With requireFiring it additionally
-// demands that the named rule fired at least once (an incident run must
-// have been caught); with forbidFiring it demands the named rule never
-// fired (a clean run must not false-positive).
-func checkAlerts(path, requireFiring, forbidFiring string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc struct {
-		Schema string   `json:"schema"`
-		Now    *float64 `json:"now_seconds"`
-		Alerts []struct {
-			Rule     string  `json:"rule"`
-			Severity string  `json:"severity"`
-			Kind     string  `json:"kind"`
-			State    string  `json:"state"`
-			Since    float64 `json:"since_seconds"`
-			Value    float64 `json:"value"`
-		} `json:"alerts"`
-		Transitions []struct {
-			Rule     string  `json:"rule"`
-			Severity string  `json:"severity"`
-			From     string  `json:"from"`
-			To       string  `json:"to"`
-			T        float64 `json:"t_seconds"`
-			Value    float64 `json:"value"`
-		} `json:"transitions"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("%s: invalid alerts JSON: %v", path, err)
-	}
-	if doc.Schema != alert.ReportSchema {
-		return fmt.Errorf("%s: schema %q, want %q", path, doc.Schema, alert.ReportSchema)
-	}
-	if doc.Now == nil || math.IsNaN(*doc.Now) || math.IsInf(*doc.Now, 0) || *doc.Now < 0 {
-		return fmt.Errorf("%s: now_seconds missing or not finite non-negative", path)
-	}
-	if doc.Alerts == nil || doc.Transitions == nil {
-		return fmt.Errorf("%s: alerts or transitions missing or null", path)
-	}
-	ruleState := map[string]string{} // rule -> status-table state
-	prevRule := ""
-	for i, a := range doc.Alerts {
-		if a.Rule == "" {
-			return fmt.Errorf("%s: alert %d has no rule name", path, i)
-		}
-		if a.Rule <= prevRule {
-			return fmt.Errorf("%s: alert rules not sorted/unique at %q", path, a.Rule)
-		}
-		prevRule = a.Rule
-		if !alertSeverities[a.Severity] {
-			return fmt.Errorf("%s: alert %s: unknown severity %q", path, a.Rule, a.Severity)
-		}
-		if !alertKinds[a.Kind] {
-			return fmt.Errorf("%s: alert %s: unknown kind %q", path, a.Rule, a.Kind)
-		}
-		if !alertStates[a.State] {
-			return fmt.Errorf("%s: alert %s: unknown state %q", path, a.Rule, a.State)
-		}
-		for what, v := range map[string]float64{"since_seconds": a.Since, "value": a.Value} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("%s: alert %s: %s = %v, want finite", path, a.Rule, what, v)
-			}
-		}
-		if a.Since < 0 {
-			return fmt.Errorf("%s: alert %s: since_seconds %v, want >= 0", path, a.Rule, a.Since)
-		}
-		ruleState[a.Rule] = a.State
-	}
-	last := map[string]string{} // rule -> state after its latest transition
-	fired := map[string]bool{}  // rule -> ever fired in the history
-	prevT := math.Inf(-1)
-	for i, tr := range doc.Transitions {
-		if tr.Rule == "" {
-			return fmt.Errorf("%s: transition %d has no rule name", path, i)
-		}
-		if _, ok := ruleState[tr.Rule]; !ok {
-			return fmt.Errorf("%s: transition %d names unknown rule %q", path, i, tr.Rule)
-		}
-		if !alertSeverities[tr.Severity] {
-			return fmt.Errorf("%s: transition %d (%s): unknown severity %q", path, i, tr.Rule, tr.Severity)
-		}
-		if math.IsNaN(tr.T) || math.IsInf(tr.T, 0) || tr.T < 0 {
-			return fmt.Errorf("%s: transition %d (%s): t_seconds %v, want finite non-negative", path, i, tr.Rule, tr.T)
-		}
-		if tr.T < prevT {
-			return fmt.Errorf("%s: transition %d (%s): t_seconds %v < previous %v — history not monotone", path, i, tr.Rule, tr.T, prevT)
-		}
-		prevT = tr.T
-		if tr.T > *doc.Now {
-			return fmt.Errorf("%s: transition %d (%s): t_seconds %v after now_seconds %v", path, i, tr.Rule, tr.T, *doc.Now)
-		}
-		if !alertStates[tr.From] || !alertStates[tr.To] {
-			return fmt.Errorf("%s: transition %d (%s): unknown state in %s -> %s", path, i, tr.Rule, tr.From, tr.To)
-		}
-		if !alertEdges[[2]string{tr.From, tr.To}] {
-			return fmt.Errorf("%s: transition %d (%s): illegal edge %s -> %s", path, i, tr.Rule, tr.From, tr.To)
-		}
-		from := last[tr.Rule]
-		if from == "" {
-			from = "inactive"
-		}
-		if tr.From != from {
-			return fmt.Errorf("%s: transition %d (%s): from %q but the rule's prior state is %q — an edge was skipped or reordered", path, i, tr.Rule, tr.From, from)
-		}
-		last[tr.Rule] = tr.To
-		if tr.To == "firing" {
-			fired[tr.Rule] = true
-		}
-		if math.IsNaN(tr.Value) || math.IsInf(tr.Value, 0) {
-			return fmt.Errorf("%s: transition %d (%s): value %v, want finite", path, i, tr.Rule, tr.Value)
-		}
-	}
-	for rule, state := range last {
-		if ruleState[rule] != state {
-			return fmt.Errorf("%s: rule %s: status table says %q but its last transition leaves it %q", path, rule, ruleState[rule], state)
-		}
-	}
-	if requireFiring != "" {
-		if _, ok := ruleState[requireFiring]; !ok {
-			return fmt.Errorf("%s: -require-firing rule %q is not in the report", path, requireFiring)
-		}
-		if !fired[requireFiring] {
-			return fmt.Errorf("%s: rule %q never fired (states: %v) — the incident was missed", path, requireFiring, ruleState[requireFiring])
-		}
-	}
-	if forbidFiring != "" {
-		if _, ok := ruleState[forbidFiring]; !ok {
-			return fmt.Errorf("%s: -forbid-firing rule %q is not in the report", path, forbidFiring)
-		}
-		if fired[forbidFiring] {
-			return fmt.Errorf("%s: rule %q fired on a clean run (false positive)", path, forbidFiring)
-		}
 	}
 	return nil
 }

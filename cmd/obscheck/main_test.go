@@ -6,14 +6,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"convmeter/internal/dagrun"
 	"convmeter/internal/dagrun/manifest"
 	"convmeter/internal/experiments"
-	"convmeter/internal/obs"
-	"convmeter/internal/obs/alert"
-	"convmeter/internal/obs/tsdb"
 )
 
 // writeDrift drops a drift snapshot fixture and returns its path.
@@ -358,144 +354,6 @@ func TestCheckBench(t *testing.T) {
 			err := checkBench(path)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("checkBench err = %v, wantErr = %t", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// realAlertReport drives a real obs+tsdb+alert stack through a fire and
-// a resolve on a manual clock and exports its report, so the fixture is
-// exactly what experiments -run-dir writes, not a hand-rolled
-// imitation that could drift from the writer.
-func realAlertReport(t *testing.T) string {
-	t.Helper()
-	o := obs.New()
-	now := time.Duration(0)
-	db := tsdb.New(tsdb.Config{Obs: o, Clock: func() time.Duration { return now }, Capacity: 256})
-	g := o.Gauge("convmeter_alertfix_gauge", "fixture gauge")
-	e := alert.New(alert.Config{Obs: o, DB: db, Rules: []alert.Rule{
-		alert.ThresholdValue("fixture-hot", alert.SevCritical, "convmeter_alertfix_gauge",
-			alert.OpAbove, 5, 10*time.Second),
-		alert.ThresholdValue("fixture-quiet", alert.SevWarning, "convmeter_alertfix_gauge",
-			alert.OpAbove, 1e9, 10*time.Second),
-	}})
-	if e == nil {
-		t.Fatal("alert.New returned nil for an enabled config")
-	}
-	tick := func(v float64) {
-		now += time.Second
-		g.Set(v)
-		db.Sync()
-		db.Sample(now)
-		e.Eval(now)
-	}
-	for i := 0; i < 5; i++ {
-		tick(1) // quiet
-	}
-	for i := 0; i < 5; i++ {
-		tick(10) // fire fixture-hot
-	}
-	for i := 0; i < 15; i++ {
-		tick(1) // recover: the 10s window must drain below the threshold
-	}
-	path := filepath.Join(t.TempDir(), "alerts.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteJSON(f, now); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCheckAlertsRealReport(t *testing.T) {
-	path := realAlertReport(t)
-	if err := checkAlerts(path, "", ""); err != nil {
-		t.Fatalf("real report rejected: %v", err)
-	}
-	if err := checkAlerts(path, "fixture-hot", ""); err != nil {
-		t.Errorf("require-firing on a fired rule rejected: %v", err)
-	}
-	if err := checkAlerts(path, "", "fixture-quiet"); err != nil {
-		t.Errorf("forbid-firing on a quiet rule rejected: %v", err)
-	}
-	if err := checkAlerts(path, "fixture-quiet", ""); err == nil {
-		t.Error("require-firing on a never-fired rule passed")
-	}
-	if err := checkAlerts(path, "", "fixture-hot"); err == nil {
-		t.Error("forbid-firing on a fired rule passed")
-	}
-	if err := checkAlerts(path, "no-such-rule", ""); err == nil {
-		t.Error("require-firing on an unknown rule passed")
-	}
-}
-
-func TestCheckAlerts(t *testing.T) {
-	good := `{"schema":"convmeter/alerts/v1","now_seconds":30,
-		"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"resolved","since_seconds":20,"value":1}],
-		"transitions":[
-			{"rule":"a","severity":"critical","from":"inactive","to":"firing","t_seconds":10,"value":9},
-			{"rule":"a","severity":"critical","from":"firing","to":"resolved","t_seconds":20,"value":1}]}`
-	cases := []struct {
-		name    string
-		doc     string
-		wantErr bool
-	}{
-		{"good", good, false},
-		{"bad-json", `{"schema":`, true},
-		{"wrong-schema", `{"schema":"v0","now_seconds":1,"alerts":[],"transitions":[]}`, true},
-		{"missing-now", `{"schema":"convmeter/alerts/v1","alerts":[],"transitions":[]}`, true},
-		{"null-alerts", `{"schema":"convmeter/alerts/v1","now_seconds":1,"transitions":[]}`, true},
-		{"empty-ok", `{"schema":"convmeter/alerts/v1","now_seconds":1,"alerts":[],"transitions":[]}`, false},
-		{"unsorted-alerts", `{"schema":"convmeter/alerts/v1","now_seconds":1,
-			"alerts":[{"rule":"b","severity":"warning","kind":"absence","state":"inactive","since_seconds":0,"value":0},
-			          {"rule":"a","severity":"warning","kind":"absence","state":"inactive","since_seconds":0,"value":0}],
-			"transitions":[]}`, true},
-		{"bad-severity", `{"schema":"convmeter/alerts/v1","now_seconds":1,
-			"alerts":[{"rule":"a","severity":"page","kind":"threshold","state":"inactive","since_seconds":0,"value":0}],
-			"transitions":[]}`, true},
-		{"bad-kind", `{"schema":"convmeter/alerts/v1","now_seconds":1,
-			"alerts":[{"rule":"a","severity":"warning","kind":"vibes","state":"inactive","since_seconds":0,"value":0}],
-			"transitions":[]}`, true},
-		{"bad-state", `{"schema":"convmeter/alerts/v1","now_seconds":1,
-			"alerts":[{"rule":"a","severity":"warning","kind":"threshold","state":"paging","since_seconds":0,"value":0}],
-			"transitions":[]}`, true},
-		{"unknown-transition-rule", `{"schema":"convmeter/alerts/v1","now_seconds":30,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"inactive","since_seconds":0,"value":0}],
-			"transitions":[{"rule":"ghost","severity":"critical","from":"inactive","to":"firing","t_seconds":10,"value":9}]}`, true},
-		{"resolve-before-fire", `{"schema":"convmeter/alerts/v1","now_seconds":30,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"resolved","since_seconds":10,"value":0}],
-			"transitions":[{"rule":"a","severity":"critical","from":"firing","to":"resolved","t_seconds":10,"value":1}]}`, true},
-		{"illegal-edge", `{"schema":"convmeter/alerts/v1","now_seconds":30,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"resolved","since_seconds":10,"value":0}],
-			"transitions":[{"rule":"a","severity":"critical","from":"inactive","to":"resolved","t_seconds":10,"value":1}]}`, true},
-		{"non-monotone", `{"schema":"convmeter/alerts/v1","now_seconds":30,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"resolved","since_seconds":5,"value":0},
-			          {"rule":"b","severity":"warning","kind":"threshold","state":"firing","since_seconds":20,"value":9}],
-			"transitions":[
-				{"rule":"b","severity":"warning","from":"inactive","to":"firing","t_seconds":20,"value":9},
-				{"rule":"a","severity":"critical","from":"inactive","to":"firing","t_seconds":2,"value":9},
-				{"rule":"a","severity":"critical","from":"firing","to":"resolved","t_seconds":5,"value":0}]}`, true},
-		{"after-now", `{"schema":"convmeter/alerts/v1","now_seconds":5,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"firing","since_seconds":10,"value":9}],
-			"transitions":[{"rule":"a","severity":"critical","from":"inactive","to":"firing","t_seconds":10,"value":9}]}`, true},
-		{"state-mismatch", `{"schema":"convmeter/alerts/v1","now_seconds":30,
-			"alerts":[{"rule":"a","severity":"critical","kind":"threshold","state":"inactive","since_seconds":0,"value":0}],
-			"transitions":[{"rule":"a","severity":"critical","from":"inactive","to":"firing","t_seconds":10,"value":9}]}`, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "alerts.json")
-			if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			err := checkAlerts(path, "", "")
-			if (err != nil) != tc.wantErr {
-				t.Fatalf("checkAlerts err = %v, wantErr = %t", err, tc.wantErr)
 			}
 		})
 	}

@@ -19,7 +19,6 @@ import (
 	"convmeter/internal/models"
 	"convmeter/internal/netsim"
 	"convmeter/internal/obs"
-	"convmeter/internal/tracefmt"
 	"convmeter/internal/trainsim"
 )
 
@@ -319,7 +318,7 @@ func runTimeline(args []string, env Env) error {
 		defer f.Close()
 		w = f
 	}
-	if err := tracefmt.WriteChromeTrace(w, events); err != nil {
+	if err := trainsim.WriteChromeTrace(w, events); err != nil {
 		return err
 	}
 	printf(env.Stderr, "step %.3f ms (fwd %.3f, bwd %.3f, grad %.3f) — open in chrome://tracing or Perfetto\n",

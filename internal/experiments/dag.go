@@ -25,7 +25,6 @@ const (
 	TraceFile    = "trace.json"    // Chrome trace-event JSON
 	DriftFile    = "drift.json"    // drift-monitor snapshot
 	CritpathFile = "critpath.json" // critical-path attribution report
-	AlertsFile   = "alerts.json"   // alert report
 	DagFile      = "dag.json"      // DAG audit trail
 	OpsAddrFile  = "ops-addr"      // the ops server's bound address
 	ManifestsDir = "manifests"     // one <node>.json manifest per committed node

@@ -3,87 +3,21 @@ package experiments
 import (
 	"testing"
 
-	"convmeter/internal/core"
-	"convmeter/internal/dagrun"
 	"convmeter/internal/driftwatch"
 )
 
-// TestLomoEvalFeedsDrift: a freshly computed LOMO evaluation streams its
-// scatter pairs into the drift monitor — inference evaluations on the
-// "fwd" phase, training evaluations on "iter" — while a repeat run served
-// from its manifests feeds nothing (its pairs were already streamed by
-// the run that computed them).
-func TestLomoEvalFeedsDrift(t *testing.T) {
+// TestLomoEvalFeedsNoDrift: an offline LOMO sweep is an accuracy report,
+// not a time series — its pairs come in configuration-sweep order across
+// experiments, so Page-Hinkley would read the jumps between them as
+// change points. A DAG run of a pure LOMO experiment must therefore
+// leave the drift monitor without a single stream.
+func TestLomoEvalFeedsNoDrift(t *testing.T) {
 	mon := driftwatch.New(driftwatch.Config{})
-	cfg := Config{Drift: mon}
-
-	infer := &core.Evaluation{Pairs: []core.PredPair{
-		{Model: "alexnet", Actual: 0.010, Pred: 0.011},
-		{Model: "alexnet", Actual: 0.020, Pred: 0.019},
-		{Model: "vgg16", Actual: 0.100, Pred: 0.104},
-	}}
-	if _, err := lomoEval(cfg, func() (*core.Evaluation, error) { return infer, nil }); err != nil {
+	cfg := Config{Seed: 1, Quick: true, Drift: mon}
+	if _, _, err := RunDAG([]string{"table2"}, cfg, DagConfig{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
-	train := &core.TrainEvaluation{Evaluation: core.Evaluation{Pairs: []core.PredPair{
-		{Model: "resnet50", Actual: 0.300, Pred: 0.310},
-	}}}
-	if _, err := lomoEval(cfg, func() (*core.TrainEvaluation, error) { return train, nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	snap := mon.Snapshot()
-	want := map[string]struct {
-		phase string
-		pairs int
-	}{
-		"alexnet":  {"fwd", 2},
-		"vgg16":    {"fwd", 1},
-		"resnet50": {"iter", 1},
-	}
-	if len(snap.Streams) != len(want) {
-		t.Fatalf("monitor has %d streams, want %d: %+v", len(snap.Streams), len(want), snap)
-	}
-	for _, st := range snap.Streams {
-		w, ok := want[st.Model]
-		if !ok || st.Phase != w.phase || st.Pairs != w.pairs {
-			t.Errorf("stream %s/%s with %d pairs, want %+v", st.Model, st.Phase, st.Pairs, want)
-		}
-	}
-
-	// Disabled monitoring and unrelated result types are no-ops.
-	feedDriftEval(Config{}, infer)
-	feedDriftEval(cfg, 42)
-	feedDriftEval(cfg, (*core.Evaluation)(nil))
-
-	// A DAG run over a run directory streams its LOMO pairs once; a
-	// repeat over the same directory serves the node from its manifest,
-	// so the monitor receives no new pairs.
-	mon = driftwatch.New(driftwatch.Config{})
-	cfg = Config{Seed: 1, Quick: true, Drift: mon}
-	dcfg := DagConfig{Dir: t.TempDir(), Workers: 2}
-	if _, _, err := RunDAG([]string{"table2"}, cfg, dcfg); err != nil {
-		t.Fatal(err)
-	}
-	pairs := func() int {
-		n := 0
-		for _, st := range mon.Snapshot().Streams {
-			n += st.Pairs
-		}
-		return n
-	}
-	fed := pairs()
-	if fed == 0 {
-		t.Fatal("fresh run fed no LOMO pairs into the monitor")
-	}
-	_, rep, err := RunDAG([]string{"table2"}, cfg, dcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := rep.Node(nodeID("table2")); st == nil || st.State != dagrun.StateReused {
-		t.Fatalf("repeat run did not reuse the table2 manifest: %+v", st)
-	}
-	if got := pairs(); got != fed {
-		t.Errorf("manifest-served repeat fed the monitor: %d pairs, want %d", got, fed)
+	if snap := mon.Snapshot(); len(snap.Streams) != 0 {
+		t.Fatalf("LOMO sweep fed the drift monitor: %d stream(s): %+v", len(snap.Streams), snap.Streams)
 	}
 }

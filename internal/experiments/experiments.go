@@ -41,8 +41,8 @@ type Config struct {
 	FaultsProfile string
 	// Drift, when non-nil, receives streaming (predicted, measured)
 	// pairs: the chaos experiment feeds live step times against the
-	// fitted training model, and completed LOMO evaluations feed their
-	// per-model pairs. Nil disables drift monitoring at zero cost.
+	// fitted training model. Offline LOMO sweeps feed nothing. Nil
+	// disables drift monitoring at zero cost.
 	Drift *driftwatch.Monitor
 	// Crit, when non-nil, receives per-step critical-path attributions
 	// from the chaos experiment's trainer (which then also aligns worker

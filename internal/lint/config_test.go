@@ -233,7 +233,7 @@ func TestRepoConfig(t *testing.T) {
 			t.Errorf("lint.config classifies %s as %q, want analytical", p, got)
 		}
 	}
-	for _, p := range []string{"exec", "hwsim", "hwreal", "netsim", "trainsim", "pipesim", "allreduce", "obs", "obs/ops", "obs/tsdb", "obs/alert", "obs/runtimeprof", "driftwatch", "tracefmt", "dagrun"} {
+	for _, p := range []string{"exec", "hwsim", "hwreal", "netsim", "trainsim", "pipesim", "allreduce", "obs", "obs/ops", "driftwatch", "dagrun"} {
 		if got := cfg.classify("convmeter/internal/" + p); got != "measured" {
 			t.Errorf("lint.config classifies %s as %q, want measured", p, got)
 		}
@@ -243,13 +243,13 @@ func TestRepoConfig(t *testing.T) {
 	}
 	// The replayability contract (DESIGN.md §6): the analytical side plus
 	// the measured packages whose output is replayed or diffed.
-	for _, p := range []string{"core", "metrics", "graph", "regress", "linalg", "faults", "tracefmt", "driftwatch/streamstat", "dagrun/manifest", "obs/tsdb/seriesq"} {
+	for _, p := range []string{"core", "metrics", "graph", "regress", "linalg", "faults", "trainsim", "driftwatch/streamstat", "dagrun/manifest"} {
 		if !cfg.deterministicScope("convmeter/internal/" + p) {
 			t.Errorf("lint.config drops %s from the deterministic scope; the replayability contract must stay enforced", p)
 		}
 	}
 	// Packages whose job is to observe real time must stay out of it.
-	for _, p := range []string{"exec", "hwreal", "obs", "driftwatch", "obs/tsdb", "obs/alert", "obs/runtimeprof"} {
+	for _, p := range []string{"exec", "hwreal", "obs", "driftwatch"} {
 		if cfg.deterministicScope("convmeter/internal/" + p) {
 			t.Errorf("lint.config declares %s deterministic; it times real work and cannot honour the contract", p)
 		}
@@ -303,9 +303,6 @@ func TestRepoConfig(t *testing.T) {
 		"convmeter/internal/obs":                   {"Counter.Add", "Gauge.Set", "Histogram.Observe", "Span.Context", "Span.LinkTo"},
 		"convmeter/internal/driftwatch":            {"Stream.Observe"},
 		"convmeter/internal/driftwatch/streamstat": {"Window.Add", "Window.Summary"},
-		"convmeter/internal/obs/tsdb":              {"DB.Sample"},
-		"convmeter/internal/obs/alert":             {"Engine.Eval"},
-		"convmeter/internal/obs/runtimeprof":       {"Sampler.Sample"},
 	} {
 		declared := map[string]bool{}
 		for _, r := range cfg.hotpathRoots(pkg) {

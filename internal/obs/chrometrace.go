@@ -11,7 +11,7 @@ import (
 // instant ("i"), or metadata ("M"). Timestamps and durations are in
 // microseconds per the trace-event format spec. This generic form is
 // shared by real measured runs (Tracer.WriteChromeTrace) and the
-// simulated training-step timelines of internal/tracefmt.
+// simulated training-step timelines of internal/trainsim.
 type TraceEvent struct {
 	Name  string
 	Phase string // defaults to "X" when empty

@@ -8,12 +8,15 @@ package trainsim
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 
 	"convmeter/internal/graph"
 	"convmeter/internal/hwsim"
 	"convmeter/internal/netsim"
+	"convmeter/internal/obs"
 )
 
 // DefaultFusionBytes is Horovod's default tensor-fusion buffer (64 MiB).
@@ -185,8 +188,8 @@ func (s *Simulator) TrainStep(g *graph.Graph, batchPerDevice, devices, nodes int
 }
 
 // TimelineEvent is one span of a simulated training step, suitable for
-// trace visualisation (see the tracefmt package). Track 0 is compute,
-// track 1 the communication link.
+// trace visualisation (see WriteChromeTrace). Track 0 is compute, track
+// 1 the communication link.
 type TimelineEvent struct {
 	Name       string
 	Track      int
@@ -229,6 +232,44 @@ func (s *Simulator) Timeline(g *graph.Graph, batchPerDevice, devices, nodes int)
 		Name: "optimizer", Track: 0, Start: optStart, Dur: s.optimizerTime(g),
 	})
 	return events, p, nil
+}
+
+// WriteChromeTrace writes a step timeline as a Chrome trace-event JSON
+// document (chrome://tracing, Perfetto), so the phase structure of the
+// paper's Figure 1 — forward, backward, the overlapped per-bucket
+// gradient all-reduces, the optimizer tail — can be inspected visually.
+// Each track gets thread-name metadata, emitted in track order so the
+// document is bit-identical across runs. An empty timeline yields a
+// valid empty document; negative times are rejected by
+// obs.WriteTraceEvents.
+func WriteChromeTrace(w io.Writer, events []TimelineEvent) error {
+	out := make([]obs.TraceEvent, 0, len(events)+2)
+	var tracks []int
+	for _, e := range events {
+		if !slices.Contains(tracks, e.Track) {
+			tracks = append(tracks, e.Track)
+		}
+		out = append(out, obs.TraceEvent{
+			Name: e.Name, Phase: "X",
+			TsUS: e.Start * 1e6, DurUS: e.Dur * 1e6,
+			Pid: 1, Tid: e.Track,
+		})
+	}
+	slices.Sort(tracks)
+	for _, tid := range tracks {
+		name := fmt.Sprintf("track %d", tid)
+		switch tid {
+		case 0:
+			name = "compute"
+		case 1:
+			name = "network"
+		}
+		out = append(out, obs.TraceEvent{
+			Name: "thread_name", Phase: "M", Pid: 1, Tid: tid,
+			Args: map[string]any{"name": name},
+		})
+	}
+	return obs.WriteTraceEvents(w, out)
 }
 
 // EpochTime converts a step time into an epoch time for a dataset of
