@@ -4,7 +4,7 @@
 GO       ?= go
 FUZZTIME ?= 15s
 
-.PHONY: build vet lint test race fuzz obs-smoke obs-bench bench-snapshot bench-check chaos critpath-smoke dag-smoke ci
+.PHONY: build vet lint test race fuzz obs-smoke obs-bench bench-snapshot bench-check perf-smoke chaos critpath-smoke dag-smoke ci
 
 build:
 	$(GO) build ./...
@@ -82,6 +82,18 @@ bench-snapshot:
 bench-check:
 	$(GO) run ./cmd/benchsnap -check $(BENCH_LAST)
 
+# perf-smoke: the repo benchmark (perfbench/, its own Go module) must
+# build, vet and pass its tests, and a short untraced infer-real run
+# must check its outputs: the last line of the run is the JSON result,
+# which has to report "correct":true and "failed":0.
+perf-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	mkdir -p .bench_build
+	bash perfbench/run.sh --workload infer-real --seed 1 --seconds 3 --trace 0 > .bench_build/perf-smoke.txt
+	@last=$$(tail -n 1 .bench_build/perf-smoke.txt); echo "$$last" | cut -c1-120; \
+	case "$$last" in *'"correct":true,'*'"failed":0,'*) ;; \
+	*) echo "perf-smoke: infer-real run did not report correct with 0 failed operations"; exit 1;; esac
+
 # critpath-smoke: the distributed-tracing acceptance path. First the
 # blame chaos suite under the race detector (seeded straggler must be
 # deterministically blamed on both transports, clean seed must blame no
@@ -108,6 +120,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGraphJSON -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZTIME) ./internal/lint
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime $(FUZZTIME) ./internal/dagrun
+	$(GO) test -run '^$$' -fuzz FuzzConv2d -fuzztime $(FUZZTIME) ./internal/exec
 
 # chaos: the fault-injection suites under the race detector, then a
 # fixed seed matrix of real end-to-end chaos runs (resilient training
@@ -147,4 +160,4 @@ dag-smoke:
 	$(GO) run ./cmd/obscheck .dag-smoke/run
 	rm -rf .dag-smoke
 
-ci: build vet lint test race obs-smoke chaos critpath-smoke dag-smoke bench-check
+ci: build vet lint test race obs-smoke chaos critpath-smoke dag-smoke perf-smoke bench-check

@@ -18,6 +18,7 @@ import (
 	"convmeter/internal/allreduce"
 	"convmeter/internal/exec"
 	"convmeter/internal/experiments"
+	"convmeter/internal/graph"
 	"convmeter/internal/hwreal"
 	"convmeter/internal/train"
 )
@@ -190,6 +191,47 @@ func BenchmarkRealExecution(b *testing.B) {
 	for _, name := range []string{"squeezenet1_1", "resnet18", "mobilenet_v3_small"} {
 		b.Run(name, func(b *testing.B) {
 			g, err := BuildModel(name, 32)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := exec.NewExecutor(g, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			in, err := e.RandomInput(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkConv2d measures the conv kernel on three shapes from the
+// infer-real conv catalogue (perfbench/convcat.go), one per conv2d
+// path: a dense 3×3 (im2col + GEMM), a 1×1 projection (pointwise GEMM)
+// and a 3×3 depthwise conv (row loop), each as a one-conv graph run at
+// batch 1.
+func BenchmarkConv2d(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		in   Shape
+		spec graph.ConvSpec
+	}{
+		{"3x3_64c_16px", Shape{C: 64, H: 16, W: 16}, graph.ConvSpec{Out: 64, KH: 3, KW: 3, PadH: 1, PadW: 1}},
+		{"1x1_96to24_16px", Shape{C: 96, H: 16, W: 16}, graph.ConvSpec{Out: 24}},
+		{"dw3x3_144c_16px", Shape{C: 144, H: 16, W: 16}, graph.ConvSpec{Out: 144, KH: 3, KW: 3, PadH: 1, PadW: 1, Groups: 144}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			bld, x := NewGraph("conv", c.in)
+			bld.Conv2d(x, "conv", c.spec)
+			g, err := bld.Build()
 			if err != nil {
 				b.Fatal(err)
 			}

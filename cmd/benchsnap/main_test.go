@@ -103,6 +103,30 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestCompareAcrossGOMAXPROCS matches a baseline taken at GOMAXPROCS=1
+// (no name suffix) with a run at GOMAXPROCS=2 ("-2" suffix): the gate
+// must still compare every benchmark, not report two disjoint sets.
+func TestCompareAcrossGOMAXPROCS(t *testing.T) {
+	base := newSnapshot("1x")
+	base.Benchmarks = []Benchmark{
+		{Name: "BenchmarkHot", NsPerOp: 1000, Iterations: 1},
+		{Name: "BenchmarkRing/workers=2", NsPerOp: 100, Iterations: 1},
+	}
+	cur := newSnapshot("1x")
+	cur.Benchmarks = []Benchmark{
+		{Name: "BenchmarkHot-2", NsPerOp: 1300, Iterations: 1},
+		{Name: "BenchmarkRing/workers=2-2", NsPerOp: 100, Iterations: 1},
+	}
+	var log strings.Builder
+	regs := compare(base, cur, 0.15, &log)
+	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkHot-2") {
+		t.Fatalf("regressions = %v, want BenchmarkHot-2 only", regs)
+	}
+	if log.Len() != 0 {
+		t.Fatalf("suffix-only name differences reported as one-sided: %q", log.String())
+	}
+}
+
 func TestRetryRegexp(t *testing.T) {
 	regs := []string{
 		"BenchmarkDataParallelStep/workers=4-8: 1100 ns/op vs baseline 900 (+22%, threshold 15%)",

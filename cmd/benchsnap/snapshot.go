@@ -102,16 +102,16 @@ func buildSnapshot(lines []string, benchtime string) (*Snapshot, error) {
 func compare(base, cur *Snapshot, threshold float64, w io.Writer) []string {
 	baseBy := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
-		baseBy[b.Name] = b
+		baseBy[benchKey(b.Name)] = b
 	}
 	var regressions []string
 	for _, c := range cur.Benchmarks {
-		b, ok := baseBy[c.Name]
+		b, ok := baseBy[benchKey(c.Name)]
 		if !ok {
 			_, _ = fmt.Fprintf(w, "benchsnap: %s: new benchmark (no baseline)\n", c.Name)
 			continue
 		}
-		delete(baseBy, c.Name)
+		delete(baseBy, benchKey(c.Name))
 		if b.AllocsPerOp == 0 && c.AllocsPerOp > 0 {
 			regressions = append(regressions, fmt.Sprintf(
 				"%s: %d allocs/op, baseline 0 (zero-alloc contract broken)",
@@ -126,12 +126,23 @@ func compare(base, cur *Snapshot, threshold float64, w io.Writer) []string {
 	}
 	// Deterministic report order for the survivors of the map walk.
 	var missing []string
-	for name := range baseBy {
-		missing = append(missing, name)
+	for _, b := range baseBy {
+		missing = append(missing, b.Name)
 	}
 	sort.Strings(missing)
 	for _, name := range missing {
 		_, _ = fmt.Fprintf(w, "benchsnap: %s: in baseline but not measured\n", name)
 	}
 	return regressions
+}
+
+// procsSuffix is the "-<GOMAXPROCS>" go test appends to a benchmark
+// name when GOMAXPROCS > 1.
+var procsSuffix = regexp.MustCompile(`-\d+$`)
+
+// benchKey is the name compare matches benchmarks by: the name without
+// its GOMAXPROCS suffix, so snapshots taken at different GOMAXPROCS
+// still compare benchmark by benchmark instead of sharing no name.
+func benchKey(name string) string {
+	return procsSuffix.ReplaceAllString(name, "")
 }

@@ -9,6 +9,8 @@
 // exact internal/regress definitions (see streamstat.Window.Summary), a
 // Welford accumulator over relative residuals, and a Page-Hinkley
 // detector that raises a drift event when the residual level shifts.
+// The detector reads the running median of three residuals, so a
+// single outlying measurement cannot fire it on its own.
 // A drift event increments convmeter_drift_events_total{model,phase},
 // drops a zero-length span annotation into the trace, latches the
 // stream's /drift state to "drifting", and invokes the monitor's
@@ -284,6 +286,7 @@ type Stream struct {
 	kappa       float64
 	win         *streamstat.Window
 	res         streamstat.Welford
+	spike       streamstat.Median3 // filters the residuals ph sees
 	ph          *streamstat.PageHinkley
 	pairs       int
 	events      int
@@ -388,7 +391,10 @@ func (s *Stream) Observe(predicted, measured float64) {
 	s.win.Add(adj, measured)
 	x := (measured - adj) / adj // relative residual; adj > 0 by the guards above
 	s.res.Add(x)
-	fired := s.ph.Add(x)
+	// The detector sees the running median of three residuals: one step
+	// the host stalled is a spike, not a shift, while a straggler that
+	// persists reaches the detector one step after its onset.
+	fired := s.ph.Add(s.spike.Add(x))
 	if fired {
 		s.events++
 		s.drifting = true
@@ -502,6 +508,7 @@ func (s *Stream) Recalibrate() {
 	s.kappa = 1
 	s.win = streamstat.NewWindow(s.opts.window())
 	s.res = streamstat.Welford{}
+	s.spike.Reset()
 	s.ph.Reset()
 	s.drifting = false
 	state := s.stateLocked()

@@ -190,6 +190,36 @@ func TestDriftFiresOnSlowdownShift(t *testing.T) {
 	}
 }
 
+// TestIsolatedSpikeStaysSilent: one measurement far off the level — a
+// single step the host preempted — is not a shift and must not fire,
+// while the same excursion sustained must.
+func TestIsolatedSpikeStaysSilent(t *testing.T) {
+	m := New(Config{})
+	opts := trackerOpts()
+	opts.CalibrateN = 2
+	st := m.StreamOpts("trainreal", "iter", opts)
+
+	const healthy = 0.0004
+	for i := 0; i < 8; i++ {
+		st.Observe(healthy, healthy)
+	}
+	// A 5ms stall on a 0.4ms step: relative residual 11.5, above λ on
+	// its own.
+	st.Observe(healthy, healthy+0.005)
+	for i := 0; i < 8; i++ {
+		st.Observe(healthy, healthy)
+	}
+	if snap := st.Snapshot(); snap.Events != 0 || snap.State != StateOK {
+		t.Fatalf("one stalled step raised a drift event: %+v", snap)
+	}
+	for i := 0; i < 4; i++ {
+		st.Observe(healthy, healthy+0.005)
+	}
+	if snap := st.Snapshot(); snap.Events < 1 || snap.State != StateDrifting {
+		t.Fatalf("a sustained stall did not drift: %+v", snap)
+	}
+}
+
 func TestCleanFeedStaysSilent(t *testing.T) {
 	m := New(Config{})
 	opts := trackerOpts()

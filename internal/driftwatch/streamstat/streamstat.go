@@ -2,8 +2,9 @@
 // internal/driftwatch: Welford online moments, a fixed-capacity
 // (predicted, actual) ring window whose summary reproduces the exact
 // accuracy metrics of internal/regress (R², RMSE, NRMSE, MAPE — the
-// paper's reported quartet), and a Page-Hinkley change detector over
-// residual streams.
+// paper's reported quartet), a Page-Hinkley change detector over
+// residual streams, and the three-sample running median that guards it
+// against isolated spikes.
 //
 // The package is pure computation over its inputs: no clocks, no
 // goroutines, no maps — it is declared `deterministic` in lint.config,
@@ -179,6 +180,41 @@ func (w *Window) Summary() regress.Report {
 		return regress.Report{}
 	}
 	return rep
+}
+
+// Median3 is a running median over the last three samples. Fed in
+// front of a change detector it rejects an isolated spike — one sample
+// far off the level, such as one step a busy host preempted — while a
+// sustained level shift passes one sample late. Until three samples
+// have arrived it returns the median of those it has. The zero value
+// is ready; a nil *Median3 passes samples through.
+type Median3 struct {
+	n          int
+	prev, last float64 // the two most recent samples, oldest first
+}
+
+// Add feeds x and returns the median of the last three samples.
+func (m *Median3) Add(x float64) float64 {
+	if m == nil {
+		return x
+	}
+	a, b := m.prev, m.last
+	m.prev, m.last = b, x
+	if m.n < 2 {
+		m.n++
+		if m.n == 1 {
+			return x
+		}
+		return (b + x) / 2
+	}
+	return max(min(a, b), min(max(a, b), x))
+}
+
+// Reset forgets every sample fed so far.
+func (m *Median3) Reset() {
+	if m != nil {
+		*m = Median3{}
+	}
 }
 
 // Direction selects which residual shifts a PageHinkley detector tests.

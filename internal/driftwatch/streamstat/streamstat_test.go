@@ -222,3 +222,34 @@ func TestPageHinkleyWarmupSuppresses(t *testing.T) {
 		}
 	}
 }
+
+// TestMedian3: the running median passes the lone first sample, the
+// mean of the first two, then the median of the last three — so one
+// spike is absorbed while a level shift passes one sample late.
+func TestMedian3(t *testing.T) {
+	var m Median3
+	for i, c := range []struct{ in, want float64 }{
+		{1, 1},   // lone sample
+		{3, 2},   // mean of two
+		{2, 2},   // median of 1, 3, 2
+		{50, 3},  // a spike: median of 3, 2, 50
+		{2, 2},   // the spike never reaches the output
+		{9, 9},   // a shift: median of 50, 2, 9 ...
+		{9, 9},   // ... and it holds once two samples agree
+		{-4, 9},  // a downward spike is absorbed too
+		{-5, -4}, // two low samples move the median
+	} {
+		if got := m.Add(c.in); got != c.want {
+			t.Fatalf("sample %d: Add(%g) = %g, want %g", i, c.in, got, c.want)
+		}
+	}
+	m.Reset()
+	if got := m.Add(7); got != 7 {
+		t.Errorf("after Reset, Add(7) = %g, want the lone sample 7", got)
+	}
+	var nilM *Median3
+	if got := nilM.Add(5); got != 5 {
+		t.Errorf("nil Median3.Add(5) = %g, want 5 passed through", got)
+	}
+	nilM.Reset()
+}

@@ -25,18 +25,33 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 func TestKernelsZeroAllocs(t *testing.T) {
 	testrace.SkipIfRace(t)
 
-	convOp := &graph.Conv2dOp{InC: 2, OutC: 3, KH: 3, KW: 3,
-		StrideH: 1, StrideW: 1, PadH: 1, PadW: 1,
-		DilationH: 1, DilationW: 1, Groups: 1, Bias: true}
-	convIn := NewTensor(2, graph.Shape{C: 2, H: 4, W: 4})
-	convOut := NewTensor(2, graph.Shape{C: 3, H: 4, W: 4})
-	convW := make([]float32, 3*2*3*3)
-	convB := make([]float32, 3)
-	fill(convIn.Data)
-	fill(convW)
-	assertZeroAllocs(t, "conv2d", func() {
-		conv2d(convIn, convOp, convW, convB, convOut)
-	})
+	// One conv per conv2d path; each must stay on the path it names.
+	for _, c := range []struct {
+		path      convPath
+		inC, outC int
+		k, pad    int
+		groups    int
+	}{
+		{convIm2col, 2, 3, 3, 1, 1},
+		{convPointwise, 4, 6, 1, 0, 1},
+		{convDepthwise, 4, 8, 3, 1, 4},
+	} {
+		op := &graph.Conv2dOp{InC: c.inC, OutC: c.outC, KH: c.k, KW: c.k,
+			StrideH: 1, StrideW: 1, PadH: c.pad, PadW: c.pad,
+			DilationH: 1, DilationW: 1, Groups: c.groups, Bias: true}
+		if got := pathOf(op); got != c.path {
+			t.Fatalf("%s conv case takes the %s path", convPathNames[c.path], convPathNames[got])
+		}
+		in := NewTensor(2, graph.Shape{C: c.inC, H: 5, W: 5})
+		out := NewTensor(2, graph.Shape{C: c.outC, H: 5, W: 5})
+		w := make([]float32, c.outC*c.inC/c.groups*c.k*c.k)
+		bias := make([]float32, c.outC)
+		fill(in.Data)
+		fill(w)
+		assertZeroAllocs(t, "conv2d ("+convPathNames[c.path]+")", func() {
+			conv2d(in, op, w, bias, out)
+		})
+	}
 
 	linOp := &graph.LinearOp{In: 8, Out: 4, Bias: true}
 	linIn := NewTensor(2, graph.Shape{C: 8, H: 1, W: 1})

@@ -32,75 +32,78 @@ type Executor struct {
 
 // NewExecutor validates the graph and initialises every parameterised
 // node with He-style random weights from the seed. The same (graph, seed)
-// pair always yields identical numerics.
+// pair always yields identical numerics. Each node draws from its own
+// RNG, seeded from (seed, node index), so the nodes initialise in
+// parallel on the kernel pool with weights bit-identical to a serial
+// pass.
 func NewExecutor(g *graph.Graph, seed int64) (*Executor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Executor{g: g, weights: make([]nodeWeights, len(g.Nodes)), seed: seed}
-	for i, n := range g.Nodes {
-		rng := rand.New(rand.NewSource(seed + int64(i)*1000003))
-		he := func(n int, fanIn int) []float32 {
-			out := make([]float32, n)
-			std := float32(math.Sqrt(2 / float64(fanIn)))
-			for j := range out {
-				out[j] = float32(rng.NormFloat64()) * std
-			}
-			return out
-		}
-		switch op := n.Op.(type) {
-		case *graph.Conv2dOp:
-			fanIn := op.InC / op.Groups * op.KH * op.KW
-			w := he(op.OutC*fanIn, fanIn)
-			var b []float32
-			if op.Bias {
-				b = make([]float32, op.OutC)
-			}
-			e.weights[i] = nodeWeights{w: w, b: b}
-		case *graph.LinearOp:
-			w := he(op.Out*op.In, op.In)
-			var b []float32
-			if op.Bias {
-				b = make([]float32, op.Out)
-			}
-			e.weights[i] = nodeWeights{w: w, b: b}
-		case *graph.TokenLinearOp:
-			w := he(op.Out*op.In, op.In)
-			var b []float32
-			if op.Bias {
-				b = make([]float32, op.Out)
-			}
-			e.weights[i] = nodeWeights{w: w, b: b}
-		case *graph.BatchNormOp:
-			scale := make([]float32, op.C)
-			shift := make([]float32, op.C)
-			for j := range scale {
-				scale[j] = 1
-			}
-			e.weights[i] = nodeWeights{w: scale, b: shift}
-		case *graph.LayerNormOp:
-			scale := make([]float32, op.Dim)
-			shift := make([]float32, op.Dim)
-			for j := range scale {
-				scale[j] = 1
-			}
-			e.weights[i] = nodeWeights{w: scale, b: shift}
-		case *graph.ToTokensOp:
-			pos := make([]float32, op.Tokens*op.Dim)
-			for j := range pos {
-				pos[j] = float32(rng.NormFloat64()) * 0.02
-			}
-			cls := make([]float32, op.Dim)
-			e.weights[i] = nodeWeights{w: pos, b: cls}
-		case *graph.ScaleOp:
-			gamma := make([]float32, op.C)
-			for j := range gamma {
-				gamma[j] = 1
-			}
-			e.weights[i] = nodeWeights{w: gamma}
-		}
-	}
+	parallelRun(&initTask{nodes: g.Nodes, weights: e.weights, seed: seed}, len(g.Nodes))
 	return e, nil
+}
+
+// initTask initialises the weights of node i into weights[i].
+type initTask struct {
+	nodes   []*graph.Node
+	weights []nodeWeights
+	seed    int64
+}
+
+func (t *initTask) run(i int, _ *kernelScratch) {
+	t.weights[i] = initNode(t.nodes[i].Op, rand.New(rand.NewSource(t.seed+int64(i)*1000003)))
+}
+
+// initNode returns the initial parameters of one node: He-normal conv
+// and linear weights with zero bias, unit norm scales with zero shifts,
+// small-normal position embeddings. Parameter-free ops get none.
+func initNode(op graph.Op, rng *rand.Rand) nodeWeights {
+	he := func(n int, fanIn int) []float32 {
+		out := make([]float32, n)
+		std := float32(math.Sqrt(2 / float64(fanIn)))
+		for j := range out {
+			out[j] = float32(rng.NormFloat64()) * std
+		}
+		return out
+	}
+	ones := func(n int) []float32 {
+		out := make([]float32, n)
+		for j := range out {
+			out[j] = 1
+		}
+		return out
+	}
+	// zeros returns the optional bias, nil when the layer has none.
+	zeros := func(n int, present bool) []float32 {
+		if !present {
+			return nil
+		}
+		return make([]float32, n)
+	}
+	switch op := op.(type) {
+	case *graph.Conv2dOp:
+		fanIn := op.InC / op.Groups * op.KH * op.KW
+		return nodeWeights{w: he(op.OutC*fanIn, fanIn), b: zeros(op.OutC, op.Bias)}
+	case *graph.LinearOp:
+		return nodeWeights{w: he(op.Out*op.In, op.In), b: zeros(op.Out, op.Bias)}
+	case *graph.TokenLinearOp:
+		return nodeWeights{w: he(op.Out*op.In, op.In), b: zeros(op.Out, op.Bias)}
+	case *graph.BatchNormOp:
+		return nodeWeights{w: ones(op.C), b: make([]float32, op.C)}
+	case *graph.LayerNormOp:
+		return nodeWeights{w: ones(op.Dim), b: make([]float32, op.Dim)}
+	case *graph.ToTokensOp:
+		pos := make([]float32, op.Tokens*op.Dim)
+		for j := range pos {
+			pos[j] = float32(rng.NormFloat64()) * 0.02
+		}
+		return nodeWeights{w: pos, b: make([]float32, op.Dim)}
+	case *graph.ScaleOp:
+		return nodeWeights{w: ones(op.C)}
+	}
+	return nodeWeights{}
 }
 
 // RandomInput builds a deterministic pseudo-random input tensor for the

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"convmeter/internal/graph"
@@ -149,6 +151,38 @@ func TestExecutorSeedChangesWeights(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical outputs")
+	}
+}
+
+// TestExecutorWeightsPinned pins the initial weights of two zoo models
+// to checksums recorded when NewExecutor still initialised its nodes
+// one after another, and compares every weight with a serial pass over
+// initNode: parallel initialisation must be bit-identical.
+func TestExecutorWeightsPinned(t *testing.T) {
+	for _, c := range []struct {
+		model string
+		sum   float64
+	}{
+		{"resnet18", 209959.8888271406},
+		{"mobilenet_v2", 810986.3189162839},
+	} {
+		g, err := models.Build(c.model, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewExecutor(g, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.WeightChecksum(); got != c.sum {
+			t.Errorf("%s weight checksum %.17g, pinned %.17g", c.model, got, c.sum)
+		}
+		for i, n := range g.Nodes {
+			want := initNode(n.Op, rand.New(rand.NewSource(7+int64(i)*1000003)))
+			if !slices.Equal(e.weights[i].w, want.w) || !slices.Equal(e.weights[i].b, want.b) {
+				t.Fatalf("%s node %d (%s): parallel init differs from serial", c.model, i, n.Name)
+			}
+		}
 	}
 }
 

@@ -8,57 +8,327 @@ import (
 )
 
 // The parallel kernels below split their work over a flattened index
-// space (batch × output-channel, batch × head, …) and hand it to the
-// persistent worker pool via a pooled task struct — see pool.go. Every
-// item writes a disjoint set of output elements, so scheduling cannot
-// change the numerics, and the per-invocation allocation count is zero.
+// space and hand it to the persistent worker pool via a pooled task
+// struct — see pool.go. Every item writes a disjoint set of output
+// elements and reduces each of them in a fixed order, so scheduling
+// cannot change the numerics, and the per-invocation allocation count
+// is zero.
+//
+// conv2d takes one of three paths, chosen from the op's shape alone:
+//
+//   - depthwise (one input channel per group, groups > 1): item i is a
+//     run of (batch, out-channel) planes — one plane, or several when
+//     the maps are small — each computed by a row loop that clips each
+//     kernel column's valid output range once, so the innermost loop
+//     carries no bounds branch;
+//   - pointwise (1×1, stride 1, no padding): the group's input planes
+//     already are the K×N right-hand matrix of a GEMM, used in place;
+//   - everything else: im2col + GEMM. Item i is a (batch, group,
+//     out-channel chunk, output-pixel tile); it gathers its K×nt patch
+//     matrix into the worker's scratch and multiplies the chunk's weight
+//     rows into it.
+//
+// Every path accumulates each output element as bias, then its taps in
+// (in-channel, kh, kw) order — the order of the direct loop kept as the
+// test oracle in kernels_test.go. A padding tap contributes an exact
+// zero, so where the compiler fuses no multiply-add (amd64 at its
+// default GOAMD64=v1) the three paths agree with the oracle exactly.
 
-// convTask is one conv2d invocation; item i enumerates the flattened
-// (batch, out-channel) space.
+// Fixed GEMM blocking. The pixel tile bounds an item's im2col scratch;
+// the out-channel chunk splits late layers, whose few pixels make one
+// tile, into enough items to spread over the pool. Neither depends on
+// GOMAXPROCS, so the item set is the same on any host.
+const (
+	convTile  = 128 // output pixels per GEMM item
+	convChunk = 64  // output channels per GEMM item; a multiple of 4
+)
+
+// depthwiseItemTaps is the work (output pixels × kernel taps) a
+// depthwise item gathers before it spans several planes: the small
+// maps of late layers would otherwise spend more on claiming items
+// than on computing them.
+const depthwiseItemTaps = 4096
+
+// convPath is the algorithm conv2d runs for an op.
+type convPath uint8
+
+const (
+	convIm2col    convPath = iota // im2col + GEMM
+	convPointwise                 // GEMM straight on the input planes
+	convDepthwise                 // per-plane row loop
+)
+
+// pathOf picks the conv path from the op's shape alone. Depthwise means
+// one input channel per group with more than one group: a dense conv
+// with InC = 1 stays on the GEMM path.
+func pathOf(op *graph.Conv2dOp) convPath {
+	switch {
+	case op.InC/op.Groups == 1 && op.Groups > 1:
+		return convDepthwise
+	case op.KH == 1 && op.KW == 1 && op.StrideH == 1 && op.StrideW == 1 && op.PadH == 0 && op.PadW == 0:
+		return convPointwise
+	}
+	return convIm2col
+}
+
+// convTask is one conv2d invocation.
 type convTask struct {
 	in, out        *Tensor
 	op             *graph.Conv2dOp
 	weight, bias   []float32
 	icPerG, ocPerG int
 	kArea          int
+	k              int // GEMM reduction length icPerG·KH·KW
+	path           convPath
+	tiles, chunks  int // GEMM pixel tiles per image, oc chunks per group
+	planes         int // depthwise out-channel planes per item
 }
 
 var convTaskPool = sync.Pool{New: func() any { return new(convTask) }}
 
-func (t *convTask) run(i int, _ *kernelScratch) {
-	b, oc := i/t.op.OutC, i%t.op.OutC
-	in, out, op := t.in, t.out, t.op
-	g := oc / t.ocPerG
-	icBase := g * t.icPerG
-	wBase := oc * t.icPerG * t.kArea
-	outPlane := out.channel(b, oc)
-	var bv float32
-	if t.bias != nil {
-		bv = t.bias[oc]
+// run computes item i: a depthwise plane, or one GEMM block — the
+// chunk's output rows over the tile's pixels, initialised with the bias
+// and accumulated from the patch matrix (or, pointwise, the input
+// planes themselves).
+func (t *convTask) run(i int, sc *kernelScratch) {
+	if t.path == convDepthwise {
+		t.runDepthwise(i)
+		return
 	}
-	for oh := 0; oh < out.Shape.H; oh++ {
-		for ow := 0; ow < out.Shape.W; ow++ {
-			acc := bv
-			for ic := 0; ic < t.icPerG; ic++ {
-				inPlane := in.channel(b, icBase+ic)
-				wRow := t.weight[wBase+ic*t.kArea:]
-				for kh := 0; kh < op.KH; kh++ {
+	tile := i % t.tiles
+	i /= t.tiles
+	chunk := i % t.chunks
+	i /= t.chunks
+	g, b := i%t.op.Groups, i/t.op.Groups
+
+	n := t.out.Shape.H * t.out.Shape.W
+	p0 := tile * convTile
+	nt := min(convTile, n-p0)
+	oc0 := g*t.ocPerG + chunk*convChunk
+	m := min(convChunk, t.ocPerG-chunk*convChunk)
+	icBase := g * t.icPerG
+
+	outImg := t.out.image(b)
+	for o := oc0; o < oc0+m; o++ {
+		row := outImg[o*n+p0 : o*n+p0+nt]
+		if t.bias == nil {
+			clear(row)
+			continue
+		}
+		bv := t.bias[o]
+		for j := range row {
+			row[j] = bv
+		}
+	}
+	var x []float32
+	ldx := nt
+	if t.path == convPointwise {
+		x = t.in.image(b)[icBase*n+p0:]
+		ldx = n
+	} else {
+		x = sc.floats(t.k * nt)
+		t.im2col(x, b, icBase, p0, nt)
+	}
+	w, c := t.weight[oc0*t.k:(oc0+m)*t.k], outImg[oc0*n+p0:]
+	gemm(m, t.k, nt, w, x, ldx, c, n)
+}
+
+// im2col gathers the patch matrix of output pixels [p0, p0+nt) of image
+// b into col: row k = (ic, kh, kw) holds that tap's input value for each
+// pixel, zero where the tap falls into padding.
+func (t *convTask) im2col(col []float32, b, icBase, p0, nt int) {
+	op := t.op
+	inH, inW := t.in.Shape.H, t.in.Shape.W
+	outW := t.out.Shape.W
+	k := 0
+	for ic := 0; ic < t.icPerG; ic++ {
+		plane := t.in.channel(b, icBase+ic)
+		for kh := 0; kh < op.KH; kh++ {
+			for kw := 0; kw < op.KW; kw++ {
+				row := col[k*nt : k*nt+nt]
+				k++
+				off := kw*op.DilationW - op.PadW
+				// Walk the tile one output row segment at a time.
+				for p, j := p0, 0; j < nt; {
+					oh, ow0 := p/outW, p%outW
+					ow1 := min(outW, ow0+nt-j)
+					seg := row[j : j+ow1-ow0]
+					p, j = p+ow1-ow0, j+ow1-ow0
 					ih := oh*op.StrideH - op.PadH + kh*op.DilationH
-					if ih < 0 || ih >= in.Shape.H {
+					if ih < 0 || ih >= inH {
+						clear(seg)
 						continue
 					}
-					rowOff := ih * in.Shape.W
-					kOff := kh * op.KW
-					for kw := 0; kw < op.KW; kw++ {
-						iw := ow*op.StrideW - op.PadW + kw*op.DilationW
-						if iw < 0 || iw >= in.Shape.W {
-							continue
-						}
-						acc += inPlane[rowOff+iw] * wRow[kOff+kw]
+					lo, hi := owRange(off, op.StrideW, inW, ow0, ow1)
+					clear(seg[:lo-ow0])
+					clear(seg[hi-ow0:])
+					if lo == hi {
+						continue
+					}
+					src := plane[ih*inW : (ih+1)*inW]
+					dst := seg[lo-ow0 : hi-ow0]
+					if op.StrideW == 1 {
+						copy(dst, src[lo+off:hi+off])
+						continue
+					}
+					for q := range dst {
+						dst[q] = src[(lo+q)*op.StrideW+off]
 					}
 				}
 			}
-			outPlane[oh*out.Shape.W+ow] = acc
+		}
+	}
+}
+
+// runDepthwise computes depthwise item i: out-channel planes
+// [c0, c0+planes) of one image.
+func (t *convTask) runDepthwise(i int) {
+	perImage := (t.op.OutC + t.planes - 1) / t.planes
+	b, c0 := i/perImage, i%perImage*t.planes
+	for oc := c0; oc < min(c0+t.planes, t.op.OutC); oc++ {
+		t.depthwisePlane(b, oc)
+	}
+}
+
+// depthwisePlane computes one (batch, out-channel) plane of a depthwise
+// conv row by row. The output columns [lo, hi) where every kernel
+// column reads inside the input are found once per plane; there the
+// taps of a kernel row are applied in one branch-free pass, and only
+// the few border columns outside it test each tap.
+func (t *convTask) depthwisePlane(b, oc int) {
+	op := t.op
+	inH, inW := t.in.Shape.H, t.in.Shape.W
+	outH, outW := t.out.Shape.H, t.out.Shape.W
+	src := t.in.channel(b, oc/t.ocPerG)
+	dst := t.out.channel(b, oc)
+	if t.bias == nil {
+		clear(dst)
+	} else {
+		bv := t.bias[oc]
+		for j := range dst {
+			dst[j] = bv
+		}
+	}
+	w := t.weight[oc*t.kArea : (oc+1)*t.kArea]
+	sw, dw, pw := op.StrideW, op.DilationW, op.PadW
+	lo, hi := 0, outW
+	for kw := 0; kw < op.KW; kw++ {
+		lo, hi = owRange(kw*dw-pw, sw, inW, lo, hi)
+	}
+	if lo == hi {
+		lo, hi = outW, outW // no interior: every column is a border column
+	}
+	for oh := 0; oh < outH; oh++ {
+		o := dst[oh*outW : (oh+1)*outW]
+		for kh := 0; kh < op.KH; kh++ {
+			ih := oh*op.StrideH - op.PadH + kh*op.DilationH
+			if ih < 0 || ih >= inH {
+				continue
+			}
+			x := src[ih*inW : (ih+1)*inW]
+			wr := w[kh*op.KW : (kh+1)*op.KW]
+			for ow := 0; ow < outW; ow++ { // border columns only
+				if ow == lo {
+					ow = hi
+					if ow == outW {
+						break
+					}
+				}
+				acc := o[ow]
+				for kw, wv := range wr {
+					if iw := ow*sw + kw*dw - pw; iw >= 0 && iw < inW {
+						acc += wv * x[iw]
+					}
+				}
+				o[ow] = acc
+			}
+			if lo == hi {
+				continue
+			}
+			oi := o[lo:hi]
+			base := lo*sw - pw
+			for j := range oi {
+				acc := oi[j]
+				p := base + j*sw
+				for _, wv := range wr {
+					acc += wv * x[p]
+					p += dw
+				}
+				oi[j] = acc
+			}
+		}
+	}
+}
+
+// owRange returns the output columns [lo, hi) within [from, to) whose
+// input column ow·stride+off lies inside [0, w); lo == hi when none
+// does.
+func owRange(off, stride, w, from, to int) (lo, hi int) {
+	lo, hi = from, to
+	if off < 0 {
+		lo = max(lo, (-off+stride-1)/stride)
+	}
+	lo = min(lo, to)
+	hi = max(lo, min(hi, (w-off+stride-1)/stride))
+	return lo, hi
+}
+
+// gemm accumulates C += W·X for an m×k weight block W (row-major), a
+// k×n right-hand side X with row stride ldx and an m×n block of C with
+// row stride ldc. It streams X row by row: four rows of W share each
+// pass over X, three k steps at a time, with the C rows as accumulators.
+// Every element of C gets its k terms one by one in increasing k order.
+func gemm(m, k, n int, w, x []float32, ldx int, c []float32, ldc int) {
+	o := 0
+	for ; o+4 <= m; o += 4 {
+		c0 := c[o*ldc : o*ldc+n]
+		c1 := c[(o+1)*ldc : (o+1)*ldc+n]
+		c2 := c[(o+2)*ldc : (o+2)*ldc+n]
+		c3 := c[(o+3)*ldc : (o+3)*ldc+n]
+		w0 := w[o*k : o*k+k]
+		w1 := w[(o+1)*k : (o+1)*k+k]
+		w2 := w[(o+2)*k : (o+2)*k+k]
+		w3 := w[(o+3)*k : (o+3)*k+k]
+		q := 0
+		for ; q+3 <= k; q += 3 {
+			x0 := x[q*ldx : q*ldx+n]
+			x1 := x[(q+1)*ldx : (q+1)*ldx+n]
+			x2 := x[(q+2)*ldx : (q+2)*ldx+n]
+			x1, x2 = x1[:len(x0)], x2[:len(x0)]
+			c0, c1, c2, c3 := c0[:len(x0)], c1[:len(x0)], c2[:len(x0)], c3[:len(x0)]
+			a0, a1, a2 := w0[q], w0[q+1], w0[q+2]
+			b0, b1, b2 := w1[q], w1[q+1], w1[q+2]
+			d0, d1, d2 := w2[q], w2[q+1], w2[q+2]
+			e0, e1, e2 := w3[q], w3[q+1], w3[q+2]
+			for j, v0 := range x0 {
+				v1, v2 := x1[j], x2[j]
+				c0[j] = c0[j] + a0*v0 + a1*v1 + a2*v2
+				c1[j] = c1[j] + b0*v0 + b1*v1 + b2*v2
+				c2[j] = c2[j] + d0*v0 + d1*v1 + d2*v2
+				c3[j] = c3[j] + e0*v0 + e1*v1 + e2*v2
+			}
+		}
+		for ; q < k; q++ {
+			x0 := x[q*ldx : q*ldx+n]
+			c0, c1, c2, c3 := c0[:len(x0)], c1[:len(x0)], c2[:len(x0)], c3[:len(x0)]
+			a0, b0, d0, e0 := w0[q], w1[q], w2[q], w3[q]
+			for j, v0 := range x0 {
+				c0[j] += a0 * v0
+				c1[j] += b0 * v0
+				c2[j] += d0 * v0
+				c3[j] += e0 * v0
+			}
+		}
+	}
+	for ; o < m; o++ {
+		c0 := c[o*ldc : o*ldc+n]
+		w0 := w[o*k : o*k+k]
+		for q, a0 := range w0 {
+			x0 := x[q*ldx : q*ldx+n]
+			c0 := c0[:len(x0)]
+			for j, v0 := range x0 {
+				c0[j] += a0 * v0
+			}
 		}
 	}
 }
@@ -67,12 +337,23 @@ func (t *convTask) run(i int, _ *kernelScratch) {
 // Weight layout: [outC][inC/groups][KH][KW]; bias may be nil.
 func conv2d(in *Tensor, op *graph.Conv2dOp, weight, bias []float32, out *Tensor) {
 	t := convTaskPool.Get().(*convTask)
+	icPerG, ocPerG := op.InC/op.Groups, op.OutC/op.Groups
+	n := out.Shape.H * out.Shape.W
 	*t = convTask{
 		in: in, out: out, op: op, weight: weight, bias: bias,
-		icPerG: op.InC / op.Groups, ocPerG: op.OutC / op.Groups,
-		kArea: op.KH * op.KW,
+		icPerG: icPerG, ocPerG: ocPerG,
+		kArea:  op.KH * op.KW,
+		k:      icPerG * op.KH * op.KW,
+		path:   pathOf(op),
+		tiles:  (n + convTile - 1) / convTile,
+		chunks: (ocPerG + convChunk - 1) / convChunk,
 	}
-	parallelRun(t, in.Batch*op.OutC)
+	items := in.Batch * op.Groups * t.chunks * t.tiles
+	if t.path == convDepthwise {
+		t.planes = max(1, depthwiseItemTaps/(n*t.kArea))
+		items = in.Batch * ((op.OutC + t.planes - 1) / t.planes)
+	}
+	parallelRun(t, items)
 	*t = convTask{}
 	convTaskPool.Put(t)
 }

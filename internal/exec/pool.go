@@ -9,12 +9,17 @@ import (
 // The kernels in this package are declared hot-path roots in
 // lint.config: everything they do per invocation must be
 // allocation-free, or the GC noise lands in the very wall-clock
-// samples hwreal feeds into the runtime model. The old parallelFor
-// helper allocated a channel, a closure and a goroutine set on every
-// call; this file replaces it with a persistent worker pool fed
-// pooled task structs.
+// samples hwreal feeds into the runtime model. They run on a
+// persistent worker pool fed pooled task structs: a submission is a
+// flattened index space whose items the workers claim one at a time.
+// Conv items are runs of (batch, out-channel) planes on the depthwise
+// path and (batch, group, out-channel chunk, pixel tile) blocks on the
+// GEMM paths; the blocking follows the op's shape, never the pool
+// size, and items write disjoint outputs, so results do not depend on
+// how many workers there are.
 
-// kernelScratch holds one worker's reusable temporary buffers. Each
+// kernelScratch holds one worker's reusable temporary buffers — the
+// attention scores, or the im2col patch matrix of a conv item. Each
 // pool worker owns one; the serial path borrows one from scratchPool.
 type kernelScratch struct {
 	buf []float32

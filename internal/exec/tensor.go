@@ -17,11 +17,21 @@
 //  3. an oracle for shape/accounting invariants (output shapes of real
 //     execution must match static inference exactly).
 //
-// Kernels favour clarity with reasonable cache behaviour; the parallel
-// kernels (convolution, linear, attention) split flattened index spaces
-// over a persistent worker pool and allocate nothing per invocation —
-// they are declared hot-path roots in lint.config, and the hotpath
-// analyzer plus testing.AllocsPerRun enforce the discipline.
+// Convolution, almost all of a real inference, has three forward
+// paths chosen from the op's shape (see kernels.go): im2col + a
+// register-blocked GEMM for dense and grouped convs, the same GEMM
+// straight on the input planes for 1×1 stride-1 unpadded convs, and a
+// branch-free row loop for depthwise convs. Each sums every output
+// element in the fixed tap order of the naive direct loop, which is
+// kept in kernels_test.go as the oracle the paths are differentially
+// tested and fuzzed against. The other kernels stay simple loops.
+//
+// The parallel kernels (convolution, linear, attention) split
+// flattened index spaces over a persistent worker pool and allocate
+// nothing per invocation — they are declared hot-path roots in
+// lint.config, and the hotpath analyzer plus testing.AllocsPerRun
+// enforce the discipline. NewExecutor initialises node weights on the
+// same pool, one independently seeded node per item.
 package exec
 
 import (

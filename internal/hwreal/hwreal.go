@@ -32,11 +32,21 @@ const DeviceName = "gocpu"
 // fastest observed time in seconds (the standard benchmarking practice
 // for minimising scheduler noise).
 func Measure(g *graph.Graph, batch, warmup, reps int, seed int64) (float64, error) {
-	if batch <= 0 || reps <= 0 || warmup < 0 {
-		return 0, fmt.Errorf("hwreal: invalid measurement plan (batch %d, warmup %d, reps %d)", batch, warmup, reps)
+	if err := checkPlan(batch, warmup, reps); err != nil {
+		return 0, err
 	}
 	e, err := exec.NewExecutor(g, seed)
 	if err != nil {
+		return 0, err
+	}
+	return timeForward(e, batch, warmup, reps)
+}
+
+// timeForward is Measure's timing loop on an already built executor:
+// the executor's seeded input at the batch size, warmup untimed runs,
+// then the fastest of reps timed runs.
+func timeForward(e *exec.Executor, batch, warmup, reps int) (float64, error) {
+	if err := checkPlan(batch, warmup, reps); err != nil {
 		return 0, err
 	}
 	in, err := e.RandomInput(batch)
@@ -60,6 +70,15 @@ func Measure(g *graph.Graph, batch, warmup, reps int, seed int64) (float64, erro
 		}
 	}
 	return best, nil
+}
+
+// checkPlan rejects a measurement plan that times nothing. Measure runs
+// it before building the executor, so an invalid plan fails fast.
+func checkPlan(batch, warmup, reps int) error {
+	if batch <= 0 || reps <= 0 || warmup < 0 {
+		return fmt.Errorf("hwreal: invalid measurement plan (batch %d, warmup %d, reps %d)", batch, warmup, reps)
+	}
+	return nil
 }
 
 // Scenario configures a real-hardware inference campaign.
@@ -105,8 +124,15 @@ func Collect(sc Scenario) ([]core.Sample, error) {
 			if err != nil {
 				return nil, err
 			}
+			// One executor serves every batch size: the weights depend
+			// on (graph, seed) only, so each sample times exactly what
+			// Measure would, without re-initialising the weights.
+			e, err := exec.NewExecutor(g, sc.Seed)
+			if err != nil {
+				return nil, fmt.Errorf("hwreal: %s@%d: %w", name, img, err)
+			}
 			for _, batch := range sc.Batches {
-				t, err := Measure(g, batch, sc.Warmup, sc.Reps, sc.Seed)
+				t, err := timeForward(e, batch, sc.Warmup, sc.Reps)
 				if err != nil {
 					return nil, fmt.Errorf("hwreal: %s@%d b%d: %w", name, img, batch, err)
 				}
